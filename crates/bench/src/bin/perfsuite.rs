@@ -155,10 +155,6 @@ fn run_scenario(
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn render_json(quick: bool, iters: u32, results: &[ScenarioResult]) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"schema_version\": {SCHEMA_VERSION},\n"));
@@ -168,14 +164,17 @@ fn render_json(quick: bool, iters: u32, results: &[ScenarioResult]) -> String {
     out.push_str("  \"scenarios\": [\n");
     for (i, r) in results.iter().enumerate() {
         out.push_str("    {\n");
-        out.push_str(&format!("      \"name\": \"{}\",\n", json_escape(r.name)));
+        out.push_str(&format!(
+            "      \"name\": \"{}\",\n",
+            sim_obs::json::escape(r.name)
+        ));
         out.push_str(&format!(
             "      \"workload\": \"{}\",\n",
-            json_escape(&r.report.workload)
+            sim_obs::json::escape(&r.report.workload)
         ));
         out.push_str(&format!(
             "      \"scheme\": \"{}\",\n",
-            json_escape(&r.report.scheme)
+            sim_obs::json::escape(&r.report.scheme)
         ));
         out.push_str(&format!("      \"cores\": {},\n", r.report.ipc.len()));
         out.push_str(&format!("      \"instructions\": {},\n", r.instructions));
@@ -216,7 +215,7 @@ fn render_json(quick: bool, iters: u32, results: &[ScenarioResult]) -> String {
         for (j, span) in r.profile_top.iter().enumerate() {
             out.push_str(&format!(
                 "        {{\"span\": \"{}\", \"calls\": {}, \"total_ns\": {}, \"self_ns\": {}}}{}\n",
-                json_escape(&span.name),
+                sim_obs::json::escape(&span.name),
                 span.calls,
                 span.total_ns,
                 span.self_ns(),
@@ -246,14 +245,17 @@ fn render_power_json(quick: bool, results: &[ScenarioResult]) -> String {
     for (i, r) in results.iter().enumerate() {
         let e = &r.report.energy;
         out.push_str("    {\n");
-        out.push_str(&format!("      \"name\": \"{}\",\n", json_escape(r.name)));
+        out.push_str(&format!(
+            "      \"name\": \"{}\",\n",
+            sim_obs::json::escape(r.name)
+        ));
         out.push_str(&format!(
             "      \"workload\": \"{}\",\n",
-            json_escape(&r.report.workload)
+            sim_obs::json::escape(&r.report.workload)
         ));
         out.push_str(&format!(
             "      \"scheme\": \"{}\",\n",
-            json_escape(&r.report.scheme)
+            sim_obs::json::escape(&r.report.scheme)
         ));
         out.push_str(&format!("      \"instructions\": {},\n", r.instructions));
         out.push_str(&format!(

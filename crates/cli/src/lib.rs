@@ -10,9 +10,7 @@ use std::fmt::Write as _;
 
 use std::path::{Path, PathBuf};
 
-use dram_sim::PagePolicy;
-use pra_core::{Report, Scheme, SimBuilder, SimError};
-use sim_fault::FaultPlan;
+use pra_core::{Report, RunSpec, Scheme, SimBuilder, SimError};
 use sim_harness::{load_journal, run_campaign, Campaign, CampaignOptions, RunStatus};
 use workloads::BenchProfile;
 
@@ -139,122 +137,53 @@ impl Options {
     }
 }
 
-/// Resolves a scheme name (case-insensitive; accepts the paper's spellings
-/// and compact aliases).
-///
-/// # Errors
-///
-/// Lists the valid names on failure.
-pub fn parse_scheme(name: &str) -> Result<Scheme, CliError> {
-    match name.to_ascii_lowercase().replace(['-', '_'], "").as_str() {
-        "baseline" | "base" | "conventional" => Ok(Scheme::Baseline),
-        "fga" => Ok(Scheme::Fga),
-        "halfdram" | "half" => Ok(Scheme::HalfDram),
-        "pra" => Ok(Scheme::Pra),
-        "halfdrampra" | "combined" => Ok(Scheme::HalfDramPra),
-        "dbi" => Ok(Scheme::Dbi),
-        "dbipra" => Ok(Scheme::DbiPra),
-        _ => Err(err(format!(
-            "unknown scheme {name:?}; valid: baseline, fga, half-dram, pra, half-dram-pra, dbi, dbi-pra"
-        ))),
+impl From<pra_core::SpecError> for CliError {
+    fn from(e: pra_core::SpecError) -> Self {
+        err(e.to_string())
     }
 }
 
-/// Resolves a page-policy name.
-///
-/// # Errors
-///
-/// Lists the valid names on failure.
-pub fn parse_policy(name: &str) -> Result<PagePolicy, CliError> {
-    match name.to_ascii_lowercase().replace(['-', '_'], "").as_str() {
-        "relaxed" | "relaxedclosepage" => Ok(PagePolicy::RelaxedClosePage),
-        "restricted" | "restrictedclosepage" => Ok(PagePolicy::RestrictedClosePage),
-        "open" | "openpage" => Ok(PagePolicy::OpenPage),
-        _ => Err(err(format!(
-            "unknown policy {name:?}; valid: relaxed, restricted, open"
-        ))),
-    }
+/// `--workload` (default GUPS) resolved to its canonical name and its
+/// first application.
+fn workload(opts: &Options) -> Result<(&'static str, BenchProfile), CliError> {
+    let (name, apps) =
+        workloads::resolve(opts.get("workload").unwrap_or("GUPS"), 1).map_err(err)?;
+    Ok((name, apps[0]))
 }
 
-/// Resolves a workload name to up to four application profiles: a benchmark
-/// name gives `cores` identical instances; `MIX1`..`MIX6` give the paper's
-/// Table 4 mixes (always 4 cores).
-///
-/// # Errors
-///
-/// Lists the valid names on failure.
-pub fn parse_workload(name: &str, cores: usize) -> Result<(String, Vec<BenchProfile>), CliError> {
-    if let Some(mix) = workloads::all_mixes()
-        .into_iter()
-        .find(|m| m.name.eq_ignore_ascii_case(name))
-    {
-        return Ok((mix.name.to_string(), mix.apps.to_vec()));
+/// The run `pra run` (and every other simulating subcommand) describes:
+/// `--scheme`, `--workload`, `--seed` and `--faults`, plus the keys shared
+/// with campaign matrices ([`RunSpec::KEYS`], spelled with `-`).
+fn run_spec(opts: &Options) -> Result<RunSpec, CliError> {
+    let mut spec = RunSpec {
+        scheme: opts.get("scheme").unwrap_or("pra").parse().map_err(err)?,
+        workload: workload(opts)?.0.to_string(),
+        fault_plan: opts.get("faults").map(String::from),
+        ..RunSpec::default()
+    };
+    spec.seed = opts.get_u64("seed", spec.seed)?;
+    for key in RunSpec::KEYS {
+        if let Some(value) = opts.get(&key.replace('_', "-")) {
+            spec.set(key, value)?;
+        }
     }
-    if let Some(profile) = workloads::by_name(name) {
-        return Ok((profile.name.to_string(), vec![profile; cores]));
-    }
-    let names: Vec<&str> = workloads::all_benchmarks().iter().map(|b| b.name).collect();
-    Err(err(format!(
-        "unknown workload {name:?}; valid: {} or MIX1..MIX6",
-        names.join(", ")
-    )))
+    spec.validate()?;
+    Ok(spec)
 }
 
-fn build(opts: &Options, scheme: Scheme) -> Result<(String, SimBuilder), CliError> {
-    let cores = opts.get_u64("cores", 4)? as usize;
-    if cores == 0 || cores > 4 {
-        return Err(err(
-            "--cores must be 1..=4 (the 8 GB space is split per core)",
-        ));
-    }
-    let workload = opts.get("workload").unwrap_or("GUPS");
-    let (name, apps) = parse_workload(workload, cores)?;
-    let policy = parse_policy(opts.get("policy").unwrap_or("relaxed"))?;
-    let mut builder = SimBuilder::new()
-        .name(name.clone())
-        .scheme(scheme)
-        .policy(policy)
-        .instructions(opts.get_u64("instructions", 100_000)?)
-        .seed(opts.get_u64("seed", 1)?);
-    for app in apps {
-        builder = builder.app(app);
-    }
-    if let Some(w) = opts.get("warmup") {
-        let w = w
-            .parse()
-            .map_err(|_| err(format!("--warmup: invalid number {w:?}")))?;
-        builder = builder.warmup_mem_ops(w);
-    }
+/// [`RunSpec::builder`] plus the flags only `pra` has: `--prefetch` and
+/// `--restore`.
+fn build(opts: &Options, spec: &RunSpec) -> Result<SimBuilder, CliError> {
+    let mut builder = spec.builder()?;
     match opts.get("prefetch") {
         None | Some("off") => {}
         Some("on") => builder = builder.prefetch_next_line(true),
         Some(other) => return Err(err(format!("--prefetch must be on|off, got {other:?}"))),
     }
-    if let Some(path) = opts.get("faults") {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| err(format!("cannot read fault plan {path}: {e}")))?;
-        let plan = FaultPlan::from_toml_str(&text).map_err(|e| err(format!("{path}: {e}")))?;
-        builder = builder.faults(plan);
-    }
-    if opts.get_bool("recovery") {
-        builder = builder.recovery(pra_core::RecoveryConfig::default());
-    }
-    let no_retire = opts.get_u64("watchdog-no-retire", 0)?;
-    let queue_age = opts.get_u64("watchdog-queue-age", 0)?;
-    if no_retire > 0 || queue_age > 0 {
-        builder = builder.liveness_watchdog(no_retire, queue_age);
-    }
-    let every = opts.get_u64("checkpoint-every", 0)?;
-    if every > 0 {
-        builder = builder.checkpoint_every(every);
-    }
-    if let Some(dir) = opts.get("checkpoint-dir") {
-        builder = builder.checkpoint_dir(dir);
-    }
     if let Some(snap) = opts.get("restore") {
         builder = builder.restore(snap);
     }
-    Ok((name, builder))
+    Ok(builder)
 }
 
 fn render_report(report: &Report) -> String {
@@ -340,8 +269,7 @@ fn render_report(report: &Report) -> String {
 ///
 /// Propagates option and name resolution errors.
 pub fn cmd_run(opts: &Options) -> Result<String, CliError> {
-    let scheme = parse_scheme(opts.get("scheme").unwrap_or("pra"))?;
-    let (_, builder) = build(opts, scheme)?;
+    let builder = build(opts, &run_spec(opts)?)?;
     if opts.get_bool("verify-determinism") {
         let report = builder.try_run_verified()?;
         let mut out = render_report(&report);
@@ -378,15 +306,7 @@ pub fn cmd_run(opts: &Options) -> Result<String, CliError> {
 ///
 /// Propagates option and name resolution errors.
 pub fn cmd_compare(opts: &Options) -> Result<String, CliError> {
-    let schemes = [
-        Scheme::Baseline,
-        Scheme::Fga,
-        Scheme::HalfDram,
-        Scheme::Pra,
-        Scheme::HalfDramPra,
-        Scheme::Dbi,
-        Scheme::DbiPra,
-    ];
+    let spec = run_spec(opts)?;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -394,9 +314,15 @@ pub fn cmd_compare(opts: &Options) -> Result<String, CliError> {
         "scheme", "power mW", "norm", "IPC sum", "energy", "EDP"
     );
     let mut base: Option<Report> = None;
-    for scheme in schemes {
-        let (_, builder) = build(opts, scheme)?;
-        let report = builder.try_run()?;
+    for scheme in Scheme::ALL {
+        let report = build(
+            opts,
+            &RunSpec {
+                scheme,
+                ..spec.clone()
+            },
+        )?
+        .try_run()?;
         let (norm_p, norm_e, norm_edp) = match &base {
             Some(b) => (
                 report.power.total() / b.power.total(),
@@ -445,10 +371,8 @@ pub fn cmd_list() -> String {
         let names: Vec<&str> = m.apps.iter().map(|a| a.name).collect();
         let _ = writeln!(out, "  {:<6} {}", m.name, names.join(" + "));
     }
-    let _ = writeln!(
-        out,
-        "schemes: baseline, fga, half-dram, pra, half-dram-pra, dbi, dbi-pra"
-    );
+    let schemes: Vec<&str> = Scheme::ALL.iter().map(|s| s.cli_name()).collect();
+    let _ = writeln!(out, "schemes: {}", schemes.join(", "));
     let _ = writeln!(out, "policies: relaxed (default), restricted, open");
     out
 }
@@ -461,8 +385,7 @@ pub fn cmd_list() -> String {
 pub fn cmd_trace(opts: &Options) -> Result<String, CliError> {
     match opts.positional.first().map(String::as_str) {
         Some("run") => {
-            let scheme = parse_scheme(opts.get("scheme").unwrap_or("pra"))?;
-            let (_, mut builder) = build(opts, scheme)?;
+            let mut builder = build(opts, &run_spec(opts)?)?;
             let trace_path = opts
                 .get("trace-out")
                 .ok_or_else(|| err("trace run needs --trace-out <file>"))?;
@@ -536,12 +459,12 @@ pub fn cmd_trace(opts: &Options) -> Result<String, CliError> {
             Ok(out)
         }
         Some("record") => {
-            let (name, apps) = parse_workload(opts.get("workload").unwrap_or("GUPS"), 1)?;
+            let (name, app) = workload(opts)?;
             let ops = opts.get_u64("ops", 100_000)? as usize;
             let path = opts
                 .get("out")
                 .ok_or_else(|| err("trace record needs --out <file>"))?;
-            let mut generator = workloads::WorkloadGen::new(apps[0], opts.get_u64("seed", 1)?, 0);
+            let mut generator = workloads::WorkloadGen::new(app, opts.get_u64("seed", 1)?, 0);
             let trace = workloads::Trace::record(&mut generator, ops);
             let file = std::fs::File::create(path)
                 .map_err(|e| err(format!("cannot create {path}: {e}")))?;
@@ -596,8 +519,7 @@ pub fn cmd_trace(opts: &Options) -> Result<String, CliError> {
             } else {
                 // Run mode: simulate with a flight-recorder ring and the
                 // host-time profiler, then export both clock domains.
-                let scheme = parse_scheme(opts.get("scheme").unwrap_or("pra"))?;
-                let (_, mut builder) = build(opts, scheme)?;
+                let mut builder = build(opts, &run_spec(opts)?)?;
                 let capacity = opts.get_u64("ring", 65_536)? as usize;
                 if capacity == 0 {
                     return Err(err("--ring must be positive"));
@@ -668,8 +590,7 @@ pub fn cmd_trace(opts: &Options) -> Result<String, CliError> {
 pub fn cmd_prof(opts: &Options) -> Result<String, CliError> {
     match opts.positional.first().map(String::as_str) {
         Some("run") => {
-            let scheme = parse_scheme(opts.get("scheme").unwrap_or("pra"))?;
-            let (_, builder) = build(opts, scheme)?;
+            let builder = build(opts, &run_spec(opts)?)?;
             let top = opts.get_u64("top", 10)? as usize;
             sim_prof::reset();
             sim_prof::enable();
@@ -765,30 +686,12 @@ fn render_journal_report(journal: &str, loaded: &sim_harness::LoadedJournal) -> 
     if by_time.first().is_some_and(|r| r.host_nanos > 0) {
         let _ = writeln!(out, "slowest {} runs:", by_time.len());
         for r in by_time {
-            let cycles_per_sec = if r.host_nanos == 0 {
-                0.0
-            } else {
-                r.cycles as f64 * 1e9 / r.host_nanos as f64
-            };
-            let _ = writeln!(
-                out,
-                "  {:>9.3} s  [{}] {}/{} seed {} ({:.0} cycles/s)",
-                r.host_nanos as f64 / 1e9,
-                r.status,
-                r.scheme,
-                r.workload,
-                r.seed,
-                cycles_per_sec,
-            );
+            let _ = writeln!(out, "{}", r.timing_row());
         }
     }
     for r in &loaded.records {
         if !matches!(r.status, RunStatus::Ok | RunStatus::Recovered) {
-            let _ = writeln!(
-                out,
-                "[{}] {}/{} seed {} (config {:016x}): {}\n  repro: {}",
-                r.status, r.scheme, r.workload, r.seed, r.config_digest, r.detail, r.repro
-            );
+            let _ = writeln!(out, "{}", r.failure_report());
         }
     }
     out
@@ -857,11 +760,11 @@ pub fn cmd_campaign(opts: &Options) -> Result<String, CliError> {
 ///
 /// Propagates option and name resolution errors.
 pub fn cmd_analyze(opts: &Options) -> Result<String, CliError> {
-    let (name, apps) = parse_workload(opts.get("workload").unwrap_or("GUPS"), 1)?;
+    let (name, app) = workload(opts)?;
     let ops = opts.get_u64("ops", 200_000)?;
-    let mut generator = workloads::WorkloadGen::new(apps[0], opts.get_u64("seed", 1)?, 0);
+    let mut generator = workloads::WorkloadGen::new(app, opts.get_u64("seed", 1)?, 0);
     let summary = workloads::analysis::analyze(&mut generator, ops);
-    Ok(render_summary(&name, &summary))
+    Ok(render_summary(name, &summary))
 }
 
 /// `pra power run`: one simulation with live power telemetry — an
@@ -880,13 +783,12 @@ pub fn cmd_power(opts: &Options) -> Result<String, CliError> {
             )))
         }
     }
-    let scheme = parse_scheme(opts.get("scheme").unwrap_or("pra"))?;
+    let spec = run_spec(opts)?;
     let epoch = opts.get_u64("epoch", 20_000)?;
     if epoch == 0 {
         return Err(err("--epoch must be a positive cycle count"));
     }
-    let (_, builder) = build(opts, scheme)?;
-    let report = builder.metrics_epoch(epoch).try_run()?;
+    let report = build(opts, &spec)?.metrics_epoch(epoch).try_run()?;
 
     let gauge = |s: &sim_obs::EpochSnapshot, name: &str| -> f64 {
         s.gauges
@@ -948,9 +850,12 @@ pub fn cmd_power(opts: &Options) -> Result<String, CliError> {
         report.power.total(),
         report.runtime_ns / 1000.0
     );
-    if scheme != Scheme::Baseline {
-        let (_, base_builder) = build(opts, Scheme::Baseline)?;
-        let base = base_builder.try_run()?;
+    if spec.scheme != Scheme::Baseline {
+        let baseline = RunSpec {
+            scheme: Scheme::Baseline,
+            ..spec
+        };
+        let base = build(opts, &baseline)?.try_run()?;
         let _ = writeln!(
             out,
             "vs baseline: power {:.1} mW -> {:.1} mW ({:+.1}%), energy {:+.1}%",
@@ -1043,6 +948,7 @@ pub fn dispatch(args: Vec<String>) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dram_sim::PagePolicy;
 
     type TestResult = Result<(), Box<dyn std::error::Error>>;
 
@@ -1071,25 +977,120 @@ mod tests {
     }
 
     #[test]
-    fn scheme_and_policy_names() -> TestResult {
-        assert_eq!(parse_scheme("PRA")?, Scheme::Pra);
-        assert_eq!(parse_scheme("half-dram")?, Scheme::HalfDram);
-        assert_eq!(parse_scheme("Half_Dram_PRA")?, Scheme::HalfDramPra);
-        assert!(parse_scheme("turbo").is_err());
-        assert_eq!(parse_policy("open")?, PagePolicy::OpenPage);
-        assert!(parse_policy("lazy").is_err());
+    fn flags_fill_the_shared_run_spec() -> TestResult {
+        let opts = Options::parse(
+            [
+                "--scheme",
+                "Half_Dram_PRA",
+                "--workload",
+                "mix3",
+                "--policy",
+                "open",
+                "--cores",
+                "2",
+                "--warmup",
+                "500",
+                "--watchdog-queue-age",
+                "9000",
+                "--recovery",
+            ]
+            .map(String::from),
+        )?;
+        let spec = run_spec(&opts)?;
+        assert_eq!(spec.scheme, Scheme::HalfDramPra);
+        assert_eq!(spec.workload, "MIX3");
+        assert_eq!(spec.policy, PagePolicy::OpenPage);
+        assert_eq!((spec.cores, spec.warmup), (2, Some(500)));
+        assert_eq!(spec.watchdog_queue_age, 9_000);
+        assert!(spec.recovery);
+        // Defaults are the `pra run` ones.
+        assert_eq!(run_spec(&Options::default())?, RunSpec::default());
         Ok(())
     }
 
     #[test]
-    fn workload_resolution() -> TestResult {
-        let (name, apps) = parse_workload("gups", 4)?;
-        assert_eq!(name, "GUPS");
-        assert_eq!(apps.len(), 4);
-        let (name, apps) = parse_workload("mix3", 1)?;
-        assert_eq!(name, "MIX3");
-        assert_eq!(apps.len(), 4, "mixes are always four apps");
-        assert!(parse_workload("dhrystone", 1).is_err());
+    fn unknown_names_and_bad_values_are_config_errors() -> TestResult {
+        for (flag, value, want) in [
+            (
+                "--scheme",
+                "turbo",
+                "unknown scheme \"turbo\"; valid: baseline, fga,",
+            ),
+            ("--workload", "dhrystone", "unknown workload \"dhrystone\""),
+            ("--policy", "lazy", "unknown policy \"lazy\""),
+            ("--cores", "7", "cores must be 1..=4"),
+            ("--instructions", "abc", "instructions wants an integer"),
+        ] {
+            let e = cmd_run(&Options::parse([flag, value].map(String::from))?)
+                .expect_err("must be rejected");
+            assert!(e.message.contains(want), "{flag} {value}: {e}");
+            assert_eq!(e.kind.exit_code(), 2);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn zero_and_eight_instruction_runs_exit_2_without_panicking() -> TestResult {
+        let run = |n: &str| {
+            let opts = Options::parse(
+                ["--workload", "gups", "--cores", "1", "--instructions", n].map(String::from),
+            )?;
+            Ok::<_, CliError>(cmd_run(&opts).expect_err("no elapsed time to report"))
+        };
+        let zero = run("0")?;
+        assert_eq!(zero.kind.exit_code(), 2);
+        assert!(
+            zero.message.contains("instructions must be at least 1"),
+            "{zero}"
+        );
+        // Eight instructions retire before the first memory cycle.
+        let eight = run("8")?;
+        assert_eq!(eight.kind.exit_code(), 2);
+        assert!(
+            eight.message.contains("before its first memory cycle"),
+            "{eight}"
+        );
+        Ok(())
+    }
+
+    #[test]
+    fn campaign_repro_line_reproduces_the_journaled_state_digest() -> TestResult {
+        // Two identical cores: the report name (`GUPS`, not the builder's
+        // default `GUPS+GUPS`) enters the state digest, so both front ends
+        // must build the run the same way for the repro line to match.
+        let dir = std::env::temp_dir().join("pra-cli-repro-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir)?;
+        let matrix = dir.join("repro.toml");
+        std::fs::write(
+            &matrix,
+            "schemes = [\"pra\"]\nworkloads = [\"GUPS\"]\nseeds = [1]\n\
+             cores = 2\ninstructions = 2000\nwarmup = 5000\n",
+        )?;
+        let journal = dir.join("repro.jsonl");
+        let path = |p: &Path| p.to_str().map(String::from).ok_or("non-utf8 temp path");
+        cmd_campaign(&Options::parse([
+            "run".to_string(),
+            "--matrix".to_string(),
+            path(&matrix)?,
+            "--journal".to_string(),
+            path(&journal)?,
+        ])?)?;
+        let loaded = load_journal(&journal)?;
+        let record = loaded.records.first().ok_or("empty journal")?;
+        assert_eq!(record.state_digest, Some(0xdd6c_e569_a296_a385));
+        let args: Vec<String> = record
+            .repro
+            .split_whitespace()
+            .skip(1) // the `pra` program name
+            .map(String::from)
+            .collect();
+        let out = dispatch(args)?;
+        assert!(
+            out.contains(&format!("state digest {:016x}", 0xdd6c_e569_a296_a385_u64)),
+            "{out}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
         Ok(())
     }
 

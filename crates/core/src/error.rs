@@ -48,6 +48,15 @@ pub enum SimError {
     /// Checkpointing was half-configured (an interval without a directory,
     /// or a directory without an interval).
     CheckpointConfig(String),
+    /// A [`RunSpec`](crate::RunSpec) failed validation or names an
+    /// unreadable or invalid fault-plan file.
+    Spec(crate::SpecError),
+    /// The run finished before its first memory cycle, so there is no
+    /// elapsed time to average DRAM power over.
+    EmptyRun {
+        /// Instructions each core was asked to retire.
+        instructions: u64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -71,6 +80,13 @@ impl fmt::Display for SimError {
                 write!(f, "cannot restore {}: {source}", path.display())
             }
             SimError::CheckpointConfig(msg) => write!(f, "{msg}"),
+            SimError::Spec(e) => write!(f, "{e}"),
+            SimError::EmptyRun { instructions } => write!(
+                f,
+                "the run ended before its first memory cycle ({instructions} instructions \
+                 per core), leaving no elapsed time to average power over; run more \
+                 instructions"
+            ),
         }
     }
 }
@@ -84,6 +100,7 @@ impl std::error::Error for SimError {
             SimError::Protocol(e) => Some(e),
             SimError::Liveness(e) => Some(e),
             SimError::Snapshot { source, .. } => Some(source),
+            SimError::Spec(e) => Some(e),
             _ => None,
         }
     }
@@ -98,6 +115,12 @@ impl From<dram_sim::ConfigError> for SimError {
 impl From<sim_fault::PlanError> for SimError {
     fn from(e: sim_fault::PlanError) -> Self {
         SimError::FaultPlan(e)
+    }
+}
+
+impl From<crate::SpecError> for SimError {
+    fn from(e: crate::SpecError) -> Self {
+        SimError::Spec(e)
     }
 }
 

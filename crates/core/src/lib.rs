@@ -18,6 +18,9 @@
 //!   the case-study combinations (Half-DRAM+PRA, DBI, DBI+PRA).
 //! * [`SimBuilder`]/[`Report`] — one-call full-system simulation: cores,
 //!   FGD cache hierarchy, cycle-level DDR3 and the power model.
+//! * [`RunSpec`] — the one run description behind both `pra run` and the
+//!   campaign harness: shared key parsing, validation, config digest,
+//!   repro line and [`SimBuilder`] construction.
 //! * [`experiments`] — one function per table/figure of the evaluation.
 //!
 //! # Quickstart
@@ -45,6 +48,7 @@ mod error;
 pub mod experiments;
 mod pra;
 mod report;
+mod run_spec;
 mod scheme;
 pub mod sds;
 mod system;
@@ -57,5 +61,6 @@ pub use pra::{
     PraLatch, PraPin,
 };
 pub use report::Report;
+pub use run_spec::{RunSpec, SpecError};
 pub use scheme::Scheme;
 pub use system::{DramGeneration, SimBuilder, SnapOutcome};

@@ -24,6 +24,31 @@ pub enum Scheme {
 }
 
 impl Scheme {
+    /// Every scheme, in the order `pra list` and `pra compare` use.
+    pub const ALL: [Scheme; 7] = [
+        Scheme::Baseline,
+        Scheme::Fga,
+        Scheme::HalfDram,
+        Scheme::Pra,
+        Scheme::HalfDramPra,
+        Scheme::Dbi,
+        Scheme::DbiPra,
+    ];
+
+    /// The command-line spelling (`pra run --scheme <this>`), also used in
+    /// campaign repro lines and config digests.
+    pub fn cli_name(self) -> &'static str {
+        match self {
+            Scheme::Baseline => "baseline",
+            Scheme::Fga => "fga",
+            Scheme::HalfDram => "half-dram",
+            Scheme::Pra => "pra",
+            Scheme::HalfDramPra => "half-dram-pra",
+            Scheme::Dbi => "dbi",
+            Scheme::DbiPra => "dbi-pra",
+        }
+    }
+
     /// The DRAM-side behaviour descriptor.
     pub fn behavior(self) -> SchemeBehavior {
         match self {
@@ -59,6 +84,31 @@ impl Scheme {
     }
 }
 
+impl std::str::FromStr for Scheme {
+    type Err = String;
+
+    /// Case-insensitive, ignoring `-` and `_`; also accepts `base`,
+    /// `conventional`, `half` and `combined`. The error lists the valid
+    /// names.
+    fn from_str(name: &str) -> Result<Self, String> {
+        let key = |s: &str| s.to_ascii_lowercase().replace(['-', '_'], "");
+        let alias = match key(name).as_str() {
+            "base" | "conventional" => Some(Scheme::Baseline),
+            "half" => Some(Scheme::HalfDram),
+            "combined" => Some(Scheme::HalfDramPra),
+            _ => None,
+        };
+        let valid: Vec<&str> = Scheme::ALL.iter().map(|s| s.cli_name()).collect();
+        alias
+            .or_else(|| {
+                Scheme::ALL
+                    .into_iter()
+                    .find(|s| key(s.cli_name()) == key(name))
+            })
+            .ok_or_else(|| format!("unknown scheme {name:?}; valid: {}", valid.join(", ")))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,6 +135,22 @@ mod tests {
         assert!(Scheme::DbiPra.uses_dbi());
         assert!(!Scheme::Pra.uses_dbi());
         assert!(!Scheme::Baseline.uses_dbi());
+    }
+
+    #[test]
+    fn names_parse_with_aliases_and_round_trip() {
+        for s in Scheme::ALL {
+            assert_eq!(s.cli_name().parse::<Scheme>(), Ok(s));
+        }
+        assert_eq!("PRA".parse(), Ok(Scheme::Pra));
+        assert_eq!("Half_Dram_PRA".parse(), Ok(Scheme::HalfDramPra));
+        assert_eq!("conventional".parse(), Ok(Scheme::Baseline));
+        assert_eq!("half".parse(), Ok(Scheme::HalfDram));
+        assert_eq!("combined".parse(), Ok(Scheme::HalfDramPra));
+        assert_eq!(
+            "turbo".parse::<Scheme>().unwrap_err(),
+            "unknown scheme \"turbo\"; valid: baseline, fga, half-dram, pra, half-dram-pra, dbi, dbi-pra"
+        );
     }
 
     #[test]

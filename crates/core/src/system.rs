@@ -506,8 +506,9 @@ impl SimBuilder {
     ///
     /// [`SimError::NoApplications`] when no applications were added,
     /// [`SimError::Config`]/[`SimError::FaultPlan`] on inconsistent inputs,
-    /// and [`SimError::Io`] when a trace or metrics output file cannot be
-    /// created.
+    /// [`SimError::Io`] when a trace or metrics output file cannot be
+    /// created, and [`SimError::EmptyRun`] when the run ends before its
+    /// first memory cycle.
     pub fn try_run(&self) -> Result<Report, SimError> {
         self.try_run_snap().map(|(report, _)| report)
     }
@@ -729,6 +730,13 @@ impl SimBuilder {
             reg.set_counter(id, dropped);
         }
 
+        // A run too short to reach its first memory cycle has no elapsed
+        // time to average power over.
+        if system.mem().elapsed_ns() <= 0.0 {
+            return Err(SimError::EmptyRun {
+                instructions: self.instructions,
+            });
+        }
         let workload = self.name.clone().unwrap_or_else(|| {
             self.apps
                 .iter()
@@ -839,6 +847,21 @@ mod tests {
         assert_eq!(a.cpu_cycles, b.cpu_cycles);
         assert_eq!(a.dram.activations, b.dram.activations);
         assert!((a.energy.total() - b.energy.total()).abs() < 1e-6);
+    }
+
+    #[test]
+    fn runs_too_short_for_a_memory_cycle_are_typed_errors() {
+        for instructions in [0, 8] {
+            let result = SimBuilder::new()
+                .app(workloads::gups())
+                .instructions(instructions)
+                .warmup_mem_ops(1_000)
+                .try_run();
+            assert!(
+                matches!(result, Err(SimError::EmptyRun { instructions: n }) if n == instructions),
+                "{instructions} instructions: {result:?}"
+            );
+        }
     }
 
     #[test]

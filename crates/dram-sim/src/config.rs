@@ -78,11 +78,39 @@ pub enum PagePolicy {
 }
 
 impl PagePolicy {
+    /// The command-line spelling (`pra run --policy <this>`), also used in
+    /// campaign repro lines and config digests.
+    pub fn cli_name(self) -> &'static str {
+        match self {
+            PagePolicy::RelaxedClosePage => "relaxed",
+            PagePolicy::RestrictedClosePage => "restricted",
+            PagePolicy::OpenPage => "open",
+        }
+    }
+
     /// The address mapping the paper pairs with this policy.
     pub fn paper_mapping(self) -> AddressMapping {
         match self {
             PagePolicy::RelaxedClosePage | PagePolicy::OpenPage => AddressMapping::RowInterleaved,
             PagePolicy::RestrictedClosePage => AddressMapping::LineInterleaved,
+        }
+    }
+}
+
+impl std::str::FromStr for PagePolicy {
+    type Err = String;
+
+    /// Case-insensitive, ignoring `-` and `_`; the full names
+    /// (`relaxed-close-page`, ...) work too. The error lists the valid
+    /// names.
+    fn from_str(name: &str) -> Result<Self, String> {
+        match name.to_ascii_lowercase().replace(['-', '_'], "").as_str() {
+            "relaxed" | "relaxedclosepage" => Ok(PagePolicy::RelaxedClosePage),
+            "restricted" | "restrictedclosepage" => Ok(PagePolicy::RestrictedClosePage),
+            "open" | "openpage" => Ok(PagePolicy::OpenPage),
+            _ => Err(format!(
+                "unknown policy {name:?}; valid: relaxed, restricted, open"
+            )),
         }
     }
 }
@@ -335,6 +363,26 @@ mod tests {
     #[test]
     fn ddr4_config_is_valid() {
         DramConfig::ddr4_2400(PagePolicy::RelaxedClosePage, SchemeBehavior::pra()).assert_valid();
+    }
+
+    #[test]
+    fn policy_names_parse_and_round_trip() {
+        for p in [
+            PagePolicy::RelaxedClosePage,
+            PagePolicy::RestrictedClosePage,
+            PagePolicy::OpenPage,
+        ] {
+            assert_eq!(p.cli_name().parse::<PagePolicy>(), Ok(p));
+        }
+        assert_eq!("Open_Page".parse(), Ok(PagePolicy::OpenPage));
+        assert_eq!(
+            "restricted-close-page".parse(),
+            Ok(PagePolicy::RestrictedClosePage)
+        );
+        assert_eq!(
+            "lazy".parse::<PagePolicy>().unwrap_err(),
+            "unknown policy \"lazy\"; valid: relaxed, restricted, open"
+        );
     }
 
     #[test]

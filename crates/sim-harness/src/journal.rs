@@ -12,6 +12,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
+use sim_obs::json;
+
 /// How a journaled run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunStatus {
@@ -60,7 +62,7 @@ impl fmt::Display for RunStatus {
 /// One journaled run: identity, outcome and enough context to reproduce it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalRecord {
-    /// [`crate::config_digest`] of the run's spec (seed excluded).
+    /// [`crate::CampaignRun::config_digest`] of the run (seed excluded).
     pub config_digest: u64,
     /// Workload RNG seed of the run.
     pub seed: u64,
@@ -107,8 +109,8 @@ impl JournalRecord {
             self.config_digest,
             self.seed,
             self.status,
-            escape(&self.scheme),
-            escape(&self.workload),
+            json::escape(&self.scheme),
+            json::escape(&self.workload),
             self.cycles,
             self.host_nanos,
             self.energy_pj,
@@ -120,8 +122,8 @@ impl JournalRecord {
         }
         line.push_str(&format!(
             ",\"detail\":\"{}\",\"repro\":\"{}\"}}",
-            escape(&self.detail),
-            escape(&self.repro)
+            json::escape(&self.detail),
+            json::escape(&self.repro)
         ));
         line
     }
@@ -133,26 +135,61 @@ impl JournalRecord {
             return None;
         }
         Some(JournalRecord {
-            config_digest: u64::from_str_radix(&json_str(line, "config")?, 16).ok()?,
-            seed: json_u64(line, "seed")?,
-            status: RunStatus::from_str(&json_str(line, "status")?)?,
-            scheme: json_str(line, "scheme")?,
-            workload: json_str(line, "workload")?,
-            cycles: json_u64(line, "cycles")?,
+            config_digest: u64::from_str_radix(&json::str(line, "config")?, 16).ok()?,
+            seed: json::u64(line, "seed")?,
+            status: RunStatus::from_str(&json::str(line, "status")?)?,
+            scheme: json::str(line, "scheme")?,
+            workload: json::str(line, "workload")?,
+            cycles: json::u64(line, "cycles")?,
             // Absent in journals written before host timing existed.
-            host_nanos: json_u64(line, "host_nanos").unwrap_or(0),
+            host_nanos: json::u64(line, "host_nanos").unwrap_or(0),
             // Absent in journals written before power telemetry existed.
-            energy_pj: json_u64(line, "energy_pj").unwrap_or(0),
-            avg_power_mw: json_u64(line, "avg_power_mw").unwrap_or(0),
+            energy_pj: json::u64(line, "energy_pj").unwrap_or(0),
+            avg_power_mw: json::u64(line, "avg_power_mw").unwrap_or(0),
             // Absent in journals written before checkpoint recovery existed.
-            resumed_from_cycle: json_u64(line, "resumed_from_cycle").unwrap_or(0),
-            state_digest: match json_str(line, "state_digest") {
+            resumed_from_cycle: json::u64(line, "resumed_from_cycle").unwrap_or(0),
+            state_digest: match json::str(line, "state_digest") {
                 Some(s) => Some(u64::from_str_radix(&s, 16).ok()?),
                 None => None,
             },
-            detail: json_str(line, "detail")?,
-            repro: json_str(line, "repro")?,
+            detail: json::str(line, "detail")?,
+            repro: json::str(line, "repro")?,
         })
+    }
+
+    /// Simulated CPU cycles per host second (0 when nothing was timed).
+    pub fn cycles_per_sec(&self) -> f64 {
+        if self.host_nanos == 0 {
+            return 0.0;
+        }
+        self.cycles as f64 * 1e9 / self.host_nanos as f64
+    }
+
+    /// This run's row in a "slowest runs" table.
+    pub fn timing_row(&self) -> String {
+        format!(
+            "  {:>9.3} s  [{}] {}/{} seed {} ({:.0} cycles/s)",
+            self.host_nanos as f64 / 1e9,
+            self.status,
+            self.scheme,
+            self.workload,
+            self.seed,
+            self.cycles_per_sec(),
+        )
+    }
+
+    /// Two lines for a failed or hung run: what went wrong, and the repro.
+    pub fn failure_report(&self) -> String {
+        format!(
+            "[{}] {}/{} seed {} (config {:016x}): {}\n  repro: {}",
+            self.status,
+            self.scheme,
+            self.workload,
+            self.seed,
+            self.config_digest,
+            self.detail,
+            self.repro
+        )
     }
 
     /// The resume key: a run is "already done" when its (config, seed)
@@ -161,78 +198,6 @@ impl JournalRecord {
     pub fn key(&self) -> (u64, u64) {
         (self.config_digest, self.seed)
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('t') => out.push('\t'),
-            Some('r') => out.push('\r'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if let Some(c) = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    out.push(c);
-                }
-            }
-            Some(other) => out.push(other),
-            None => {}
-        }
-    }
-    out
-}
-
-/// Extracts the raw (still-escaped) value of a `"key":"value"` pair.
-fn json_str(line: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\":\"");
-    let start = line.find(&marker)? + marker.len();
-    let rest = &line[start..];
-    // Scan for the closing quote, honouring backslash escapes.
-    let mut end = None;
-    let mut escaped = false;
-    for (i, c) in rest.char_indices() {
-        if escaped {
-            escaped = false;
-        } else if c == '\\' {
-            escaped = true;
-        } else if c == '"' {
-            end = Some(i);
-            break;
-        }
-    }
-    Some(unescape(&rest[..end?]))
-}
-
-fn json_u64(line: &str, key: &str) -> Option<u64> {
-    let marker = format!("\"{key}\":");
-    let start = line.find(&marker)? + marker.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
 }
 
 /// A journal read back from disk.
@@ -425,88 +390,21 @@ mod tests {
         assert_eq!(JournalRecord::parse(old).unwrap().resumed_from_cycle, 0);
     }
 
-    /// A tiny deterministic xorshift generator — no external fuzzing crate,
-    /// no wall-clock seed, fully reproducible.
-    struct Xorshift(u64);
-
-    impl Xorshift {
-        fn next(&mut self) -> u64 {
-            let mut x = self.0;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            self.0 = x;
-            x
-        }
-    }
-
     #[test]
-    fn fuzzed_mutations_never_panic_and_never_misparse() {
-        let good = record(1, RunStatus::Ok).to_json_line();
-        let bytes = good.as_bytes();
-        let mut rng = Xorshift(0x5eed_cafe_f00d_1234);
-        for _ in 0..2_000 {
-            let mut mutated = bytes.to_vec();
-            match rng.next() % 4 {
-                // Truncate at a random point (the kill-mid-write artifact).
-                0 => mutated.truncate((rng.next() as usize) % (bytes.len() + 1)),
-                // Flip a random byte.
-                1 => {
-                    let i = (rng.next() as usize) % mutated.len();
-                    mutated[i] ^= (rng.next() % 255) as u8 + 1;
-                }
-                // Insert a random byte.
-                2 => {
-                    let i = (rng.next() as usize) % (mutated.len() + 1);
-                    mutated.insert(i, (rng.next() % 256) as u8);
-                }
-                // Splice two halves of different records together.
-                _ => {
-                    let other = record(2, RunStatus::Failed).to_json_line();
-                    let cut = (rng.next() as usize) % mutated.len();
-                    let other_cut = (rng.next() as usize) % other.len();
-                    mutated.truncate(cut);
-                    mutated.extend_from_slice(&other.as_bytes()[other_cut..]);
-                }
-            }
-            let line = String::from_utf8_lossy(&mutated);
-            // Must never panic; when it does parse, the numeric fields must
-            // have come from real `"key":value` pairs, not from garbage.
-            if let Some(r) = JournalRecord::parse(&line) {
-                assert!(!r.scheme.is_empty() || line.contains("\"scheme\":\"\""));
-            }
-        }
-    }
-
-    #[test]
-    fn adversarial_lines_are_rejected_not_trusted() {
-        // Keys smuggled inside string values stay escaped and must not be
-        // picked up by the scanner.
-        let smuggled = "{\"detail\":\"\\\"config\\\":\\\"0123456789abcdef\\\",\
-                        \\\"seed\\\":9,\\\"status\\\":\\\"ok\\\"\",\"repro\":\"x\"}";
-        assert!(JournalRecord::parse(smuggled).is_none());
-        // Negative, overflowing and non-numeric numbers all reject the line.
-        for bad in [
-            "\"seed\":-5",
-            "\"seed\":99999999999999999999999999",
-            "\"seed\":\"7\"",
-        ] {
-            let line = record(1, RunStatus::Ok)
-                .to_json_line()
-                .replace("\"seed\":1", bad);
-            assert!(JournalRecord::parse(&line).is_none(), "must reject {bad:?}");
-        }
-        // An unknown status string is rejected, not defaulted.
+    fn unknown_status_and_non_objects_are_rejected() {
+        // Field-level fuzzing lives with the reader in `sim_obs::json`;
+        // these are the record-level checks on top of it.
         let line = record(1, RunStatus::Ok)
             .to_json_line()
             .replace("\"status\":\"ok\"", "\"status\":\"exploded\"");
         assert!(JournalRecord::parse(&line).is_none());
-        // Unterminated strings and non-object lines are rejected.
+        let line = record(1, RunStatus::Ok)
+            .to_json_line()
+            .replace("\"seed\":1", "\"seed\":-5");
+        assert!(JournalRecord::parse(&line).is_none());
         assert!(JournalRecord::parse("{\"config\":\"00ff").is_none());
         assert!(JournalRecord::parse("[1,2,3]").is_none());
         assert!(JournalRecord::parse("").is_none());
-        // NUL bytes and control characters don't panic the unescaper.
-        assert!(JournalRecord::parse("{\"config\":\"\u{0}\u{1}\"}").is_none());
     }
 
     #[test]

@@ -2,13 +2,19 @@
 //!
 //! A *campaign* is a batch of simulations over an experiment matrix —
 //! scheme × workload × seed (× optional fault plan) — executed by a pool of
-//! worker threads. The harness is built for overnight sweeps that must
+//! worker threads. Each run is a [`pra_core::RunSpec`] — the same run
+//! description `pra run` parses its flags into — so the matrix's shared
+//! keys, validation, config digest, repro line and simulator construction
+//! are pra-core's; a [`Campaign`] is one spec template plus its axes, and
+//! only the synthetic [`Fixture`]s and the determinism sample are the
+//! harness's own. The harness is built for overnight sweeps that must
 //! survive individual bad runs:
 //!
 //! * **Panic isolation** — each run executes behind `catch_unwind`, so a
 //!   poisoned configuration produces a structured failure record (panic
-//!   payload, config digest, copy-pasteable repro command) instead of
-//!   aborting the whole campaign.
+//!   payload, config digest, copy-pasteable repro command whose `pra run`
+//!   reproduces the journaled state digest) instead of aborting the whole
+//!   campaign.
 //! * **Liveness classification** — runs that trip the DRAM scheduler's
 //!   cycle-domain watchdogs ([`dram_sim::LivenessError`]) are classified
 //!   [`RunStatus::Hung`], carrying the starved request's address/bank trail.
@@ -35,15 +41,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod digest;
 mod journal;
 mod matrix;
 mod runner;
 
-pub use digest::{config_digest, fnv1a_64};
 pub use journal::{load_journal, JournalRecord, JournalWriter, LoadedJournal, RunStatus};
-pub use matrix::{Campaign, Fixture, MatrixError, RunSpec};
-pub use runner::{
-    run_campaign, CampaignOptions, CampaignSummary, HarnessError, RunFailure, RunTiming,
-    SLOWEST_KEPT,
-};
+pub use matrix::{Campaign, CampaignRun, Fixture, MatrixError};
+pub use runner::{run_campaign, CampaignOptions, CampaignSummary, HarnessError, SLOWEST_KEPT};

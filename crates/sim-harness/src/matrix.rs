@@ -2,9 +2,9 @@
 //! expansion into individual run specifications.
 
 use core::fmt;
+use std::path::Path;
 
-use dram_sim::PagePolicy;
-use pra_core::Scheme;
+use pra_core::{RunSpec, Scheme};
 
 /// Error parsing or validating a campaign matrix.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,149 +36,80 @@ pub enum Fixture {
     Hang,
 }
 
-/// One fully-resolved simulation the campaign will execute.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunSpec {
-    /// Activation scheme under test.
-    pub scheme: Scheme,
-    /// Workload name (a benchmark or `MIX1`..`MIX6`).
-    pub workload: String,
-    /// Page policy.
-    pub policy: PagePolicy,
-    /// Cores for benchmark workloads (mixes always use 4).
-    pub cores: usize,
-    /// Instructions each core retires.
-    pub instructions: u64,
-    /// Functional-warmup memory operations per core.
-    pub warmup: u64,
-    /// Workload RNG seed.
-    pub seed: u64,
-    /// No-retire liveness bound in memory cycles (0 disables).
-    pub watchdog_no_retire: u64,
-    /// Queue-age (starvation) liveness bound in memory cycles (0 disables).
-    pub watchdog_queue_age: u64,
-    /// Optional fault-plan file injected into the run.
-    pub fault_plan: Option<String>,
-    /// Arm the controller recovery pipeline (parity-alert replay with
-    /// full-row fallback) for this run.
-    pub recovery: bool,
-    /// Checkpoint interval in memory cycles (0 disables checkpointing).
-    pub checkpoint_every: u64,
-    /// Root checkpoint directory; each run writes snapshots into its own
-    /// `<config_digest:016x>-<seed>` subdirectory so parallel runs never
-    /// collide. Required exactly when `checkpoint_every > 0`.
-    pub checkpoint_dir: Option<String>,
+impl Fixture {
+    /// The fixture's name in the config digest.
+    fn name(self) -> &'static str {
+        match self {
+            Fixture::None => "none",
+            Fixture::Panic => "panic",
+            Fixture::Hang => "hang",
+        }
+    }
+}
+
+/// One run of an expanded campaign: a [`RunSpec`] plus the harness's
+/// synthetic-fixture kind. When checkpointing is on, the spec's
+/// `checkpoint_dir` is already this run's private
+/// `<campaign checkpoint_dir>/<config_digest:016x>-<seed>` subdirectory:
+/// the digest/seed pair is the journal's resume key, so concurrent runs of
+/// one campaign never share a directory and a re-executed run finds exactly
+/// its own snapshots.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CampaignRun {
+    /// What to simulate.
+    pub spec: RunSpec,
     /// Synthetic-fixture kind, [`Fixture::None`] for real runs.
     pub fixture: Fixture,
 }
 
-/// The CLI spelling of a scheme (`pra run --scheme <this>`).
-pub(crate) fn scheme_cli_name(scheme: Scheme) -> &'static str {
-    match scheme {
-        Scheme::Baseline => "baseline",
-        Scheme::Fga => "fga",
-        Scheme::HalfDram => "half-dram",
-        Scheme::Pra => "pra",
-        Scheme::HalfDramPra => "half-dram-pra",
-        Scheme::Dbi => "dbi",
-        Scheme::DbiPra => "dbi-pra",
+impl CampaignRun {
+    pub(crate) fn new(mut spec: RunSpec, fixture: Fixture) -> Self {
+        let digest = spec.config_digest(fixture.name());
+        if let Some(root) = spec.checkpoint_dir.take() {
+            let subdir = Path::new(&root).join(format!("{digest:016x}-{}", spec.seed));
+            spec.checkpoint_dir = Some(subdir.display().to_string());
+        }
+        CampaignRun { spec, fixture }
+    }
+
+    /// The journal's resume key (with the seed): [`RunSpec::config_digest`]
+    /// of the spec and fixture.
+    pub fn config_digest(&self) -> u64 {
+        self.spec.config_digest(self.fixture.name())
+    }
+
+    /// A copy-pasteable `pra run` invocation reproducing this run outside
+    /// the campaign harness (the panic fixture has no CLI equivalent and
+    /// renders as a comment).
+    pub fn repro_line(&self) -> String {
+        if self.fixture == Fixture::Panic {
+            return "# synthetic panic fixture (harness self-test; no CLI equivalent)".to_string();
+        }
+        self.spec.repro_line()
     }
 }
 
-fn parse_scheme(name: &str) -> Result<Scheme, MatrixError> {
-    match name.to_ascii_lowercase().replace(['-', '_'], "").as_str() {
-        "baseline" | "base" | "conventional" => Ok(Scheme::Baseline),
-        "fga" => Ok(Scheme::Fga),
-        "halfdram" | "half" => Ok(Scheme::HalfDram),
-        "pra" => Ok(Scheme::Pra),
-        "halfdrampra" | "combined" => Ok(Scheme::HalfDramPra),
-        "dbi" => Ok(Scheme::Dbi),
-        "dbipra" => Ok(Scheme::DbiPra),
-        _ => Err(matrix_err(format!(
-            "unknown scheme {name:?}; valid: baseline, fga, half-dram, pra, half-dram-pra, dbi, dbi-pra"
-        ))),
-    }
-}
-
-fn parse_policy(name: &str) -> Result<PagePolicy, MatrixError> {
-    match name.to_ascii_lowercase().replace(['-', '_'], "").as_str() {
-        "relaxed" | "relaxedclosepage" => Ok(PagePolicy::RelaxedClosePage),
-        "restricted" | "restrictedclosepage" => Ok(PagePolicy::RestrictedClosePage),
-        "open" | "openpage" => Ok(PagePolicy::OpenPage),
-        _ => Err(matrix_err(format!(
-            "unknown policy {name:?}; valid: relaxed, restricted, open"
-        ))),
-    }
-}
-
-pub(crate) fn policy_cli_name(policy: PagePolicy) -> &'static str {
-    match policy {
-        PagePolicy::RelaxedClosePage => "relaxed",
-        PagePolicy::RestrictedClosePage => "restricted",
-        PagePolicy::OpenPage => "open",
-    }
-}
-
-/// Resolves a workload name to its canonical spelling, or errors listing
-/// the valid names.
-fn canonical_workload(name: &str) -> Result<String, MatrixError> {
-    if let Some(mix) = workloads::all_mixes()
-        .into_iter()
-        .find(|m| m.name.eq_ignore_ascii_case(name))
-    {
-        return Ok(mix.name.to_string());
-    }
-    if let Some(profile) = workloads::by_name(name) {
-        return Ok(profile.name.to_string());
-    }
-    let names: Vec<&str> = workloads::all_benchmarks().iter().map(|b| b.name).collect();
-    Err(matrix_err(format!(
-        "unknown workload {name:?}; valid: {} or MIX1..MIX6",
-        names.join(", ")
-    )))
-}
-
-/// A campaign description: the axes of the experiment matrix plus the knobs
-/// shared by every run. Parses from a minimal TOML subset
-/// ([`Campaign::from_toml_str`]) and expands to the full cross product
-/// ([`Campaign::expand`]).
+/// A campaign description: one [`RunSpec`] template holding the knobs
+/// shared by every run, plus the axes of the experiment matrix. Parses from
+/// a minimal TOML subset ([`Campaign::from_toml_str`]) and expands to the
+/// full cross product ([`Campaign::expand`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Campaign {
+    /// The shared knobs. Expansion overrides its scheme, workload, seed and
+    /// fault plan per run; its `checkpoint_dir` is the root of the per-run
+    /// checkpoint subdirectories.
+    pub template: RunSpec,
     /// Schemes axis (at least one).
     pub schemes: Vec<Scheme>,
     /// Workloads axis, canonical names (at least one).
     pub workloads: Vec<String>,
     /// Seeds axis (at least one).
     pub seeds: Vec<u64>,
-    /// Page policy shared by every run.
-    pub policy: PagePolicy,
-    /// Cores for benchmark workloads (mixes always use 4).
-    pub cores: usize,
-    /// Instructions each core retires.
-    pub instructions: u64,
-    /// Functional-warmup memory operations per core.
-    pub warmup: u64,
-    /// No-retire liveness bound for every run (memory cycles, 0 disables).
-    pub watchdog_no_retire: u64,
-    /// Queue-age liveness bound for every run (memory cycles, 0 disables).
-    pub watchdog_queue_age: u64,
-    /// Re-run every Nth run twice and compare state digests (0 disables).
-    pub determinism_sample: u64,
     /// Fault-plan files: each becomes an extra matrix axis value (a run
     /// without a plan is always included).
     pub fault_plans: Vec<String>,
-    /// Arm the controller recovery pipeline on every run (detected faults
-    /// replay instead of degrading immediately; completed runs that needed
-    /// it journal as `recovered`).
-    pub recovery: bool,
-    /// Checkpoint every run's full simulator state at this memory-cycle
-    /// interval (0 disables). A run that fails, hangs, or is killed
-    /// mid-flight re-executes from its last valid checkpoint instead of
-    /// cycle 0 — the restored run finishes with an identical state digest.
-    pub checkpoint_every: u64,
-    /// Root directory for per-run checkpoint subdirectories. Required
-    /// exactly when `checkpoint_every > 0`.
-    pub checkpoint_dir: Option<String>,
+    /// Re-run every Nth run twice and compare state digests (0 disables).
+    pub determinism_sample: u64,
     /// Append one synthetic panicking run (harness self-test).
     pub include_panic_fixture: bool,
     /// Append one synthetic hanging run (harness self-test).
@@ -189,29 +120,30 @@ impl Campaign {
     /// Parses a campaign from a minimal TOML subset: `key = value` lines,
     /// `#` comments, string/integer arrays in `[...]`, and an optional
     /// `[campaign]` section header. Unknown keys are errors (a typo must
-    /// not silently shrink the matrix).
+    /// not silently shrink the matrix). The keys a campaign shares with
+    /// `pra run` ([`RunSpec::KEYS`]) parse through [`RunSpec::set`].
     ///
     /// # Errors
     ///
     /// [`MatrixError`] naming the offending line, unknown scheme/workload
-    /// names, or a missing required axis.
+    /// names, or a missing or empty axis.
     pub fn from_toml_str(text: &str) -> Result<Self, MatrixError> {
-        let mut schemes: Option<Vec<Scheme>> = None;
-        let mut workload_names: Option<Vec<String>> = None;
-        let mut seeds: Option<Vec<u64>> = None;
-        let mut policy = PagePolicy::RelaxedClosePage;
-        let mut cores = 1usize;
-        let mut instructions = 5_000u64;
-        let mut warmup = 10_000u64;
-        let mut watchdog_no_retire = 1_000_000u64;
-        let mut watchdog_queue_age = 0u64;
-        let mut determinism_sample = 0u64;
-        let mut fault_plans = Vec::new();
-        let mut recovery = false;
-        let mut checkpoint_every = 0u64;
-        let mut checkpoint_dir: Option<String> = None;
-        let mut include_panic_fixture = false;
-        let mut include_hang_fixture = false;
+        let mut c = Campaign {
+            template: RunSpec {
+                cores: 1,
+                instructions: 5_000,
+                warmup: Some(10_000),
+                watchdog_no_retire: 1_000_000,
+                ..RunSpec::default()
+            },
+            schemes: Vec::new(),
+            workloads: Vec::new(),
+            seeds: Vec::new(),
+            fault_plans: Vec::new(),
+            determinism_sample: 0,
+            include_panic_fixture: false,
+            include_hang_fixture: false,
+        };
 
         for (index, raw) in text.lines().enumerate() {
             let lineno = index + 1;
@@ -233,184 +165,119 @@ impl Campaign {
                 )));
             };
             let (key, value) = (key.trim(), value.trim());
+            let at_line = |e: &dyn fmt::Display| matrix_err(format!("line {lineno}: {e}"));
             let as_u64 = |v: &str| {
                 v.parse::<u64>().map_err(|_| {
                     matrix_err(format!("line {lineno}: {key} wants an integer, got {v:?}"))
                 })
             };
-            let as_bool = |v: &str| match v {
-                "true" => Ok(true),
-                "false" => Ok(false),
-                _ => Err(matrix_err(format!(
-                    "line {lineno}: {key} wants true|false, got {v:?}"
-                ))),
+            let as_bool = |v: &str| {
+                v.parse::<bool>().map_err(|_| {
+                    matrix_err(format!("line {lineno}: {key} wants true|false, got {v:?}"))
+                })
             };
             match key {
                 "schemes" => {
-                    let names = parse_string_array(value, key, lineno)?;
-                    schemes = Some(
-                        names
-                            .iter()
-                            .map(|n| parse_scheme(n))
-                            .collect::<Result<_, _>>()?,
-                    );
+                    c.schemes = parse_string_array(value, key, lineno)?
+                        .iter()
+                        .map(|n| n.parse::<Scheme>().map_err(|e| at_line(&e)))
+                        .collect::<Result<_, _>>()?;
                 }
                 "workloads" => {
-                    let names = parse_string_array(value, key, lineno)?;
-                    workload_names = Some(
-                        names
-                            .iter()
-                            .map(|n| canonical_workload(n))
-                            .collect::<Result<_, _>>()?,
-                    );
+                    c.workloads = parse_string_array(value, key, lineno)?
+                        .iter()
+                        .map(|n| {
+                            workloads::resolve(n, 1)
+                                .map(|(name, _)| name.to_string())
+                                .map_err(|e| at_line(&e))
+                        })
+                        .collect::<Result<_, _>>()?;
                 }
                 "seeds" => {
-                    let items = parse_raw_array(value, key, lineno)?;
-                    seeds = Some(items.iter().map(|v| as_u64(v)).collect::<Result<_, _>>()?);
+                    c.seeds = parse_raw_array(value, key, lineno)?
+                        .iter()
+                        .map(|v| as_u64(v))
+                        .collect::<Result<_, _>>()?;
                 }
-                "policy" => policy = parse_policy(value.trim_matches('"'))?,
-                "cores" => cores = as_u64(value)? as usize,
-                "instructions" => instructions = as_u64(value)?,
-                "warmup" => warmup = as_u64(value)?,
-                "watchdog_no_retire" => watchdog_no_retire = as_u64(value)?,
-                "watchdog_queue_age" => watchdog_queue_age = as_u64(value)?,
-                "determinism_sample" => determinism_sample = as_u64(value)?,
-                "fault_plans" => {
-                    fault_plans = parse_string_array(value, key, lineno)?;
-                }
-                "recovery" => recovery = as_bool(value)?,
-                "checkpoint_every" => checkpoint_every = as_u64(value)?,
-                "checkpoint_dir" => {
-                    let dir = value.trim_matches('"');
-                    if dir.is_empty() {
-                        return Err(matrix_err(format!(
-                            "line {lineno}: checkpoint_dir wants a non-empty quoted path"
-                        )));
-                    }
-                    checkpoint_dir = Some(dir.to_string());
-                }
-                "include_panic_fixture" => include_panic_fixture = as_bool(value)?,
-                "include_hang_fixture" => include_hang_fixture = as_bool(value)?,
+                "fault_plans" => c.fault_plans = parse_string_array(value, key, lineno)?,
+                "determinism_sample" => c.determinism_sample = as_u64(value)?,
+                "include_panic_fixture" => c.include_panic_fixture = as_bool(value)?,
+                "include_hang_fixture" => c.include_hang_fixture = as_bool(value)?,
+                key if RunSpec::KEYS.contains(&key) => c
+                    .template
+                    .set(key, value.trim_matches('"'))
+                    .map_err(|e| at_line(&e))?,
                 _ => {
                     return Err(matrix_err(format!("line {lineno}: unknown key {key:?}")));
                 }
             }
         }
-        let campaign = Campaign {
-            schemes: schemes.ok_or_else(|| matrix_err("missing required axis `schemes`"))?,
-            workloads: workload_names
-                .ok_or_else(|| matrix_err("missing required axis `workloads`"))?,
-            seeds: seeds.ok_or_else(|| matrix_err("missing required axis `seeds`"))?,
-            policy,
-            cores,
-            instructions,
-            warmup,
-            watchdog_no_retire,
-            watchdog_queue_age,
-            determinism_sample,
-            fault_plans,
-            recovery,
-            checkpoint_every,
-            checkpoint_dir,
-            include_panic_fixture,
-            include_hang_fixture,
-        };
-        campaign.validate()?;
-        Ok(campaign)
+        c.validate()?;
+        Ok(c)
     }
 
     /// Checks the campaign for consistency.
     ///
     /// # Errors
     ///
-    /// [`MatrixError`] when an axis is empty or `cores` is outside 1..=4.
+    /// [`MatrixError`] when an axis is missing or empty, or the template
+    /// fails [`RunSpec::validate`].
     pub fn validate(&self) -> Result<(), MatrixError> {
-        if self.schemes.is_empty() {
-            return Err(matrix_err("schemes axis must not be empty"));
-        }
-        if self.workloads.is_empty() {
-            return Err(matrix_err("workloads axis must not be empty"));
-        }
-        if self.seeds.is_empty() {
-            return Err(matrix_err("seeds axis must not be empty"));
-        }
-        if self.cores == 0 || self.cores > 4 {
-            return Err(matrix_err(format!(
-                "cores must be 1..=4, got {}",
-                self.cores
-            )));
-        }
-        match (self.checkpoint_every, &self.checkpoint_dir) {
-            (0, Some(_)) => {
-                return Err(matrix_err(
-                    "checkpoint_dir is set but checkpoint_every is 0; \
-                     add `checkpoint_every = <memory cycles>`",
-                ));
+        for (axis, empty) in [
+            ("schemes", self.schemes.is_empty()),
+            ("workloads", self.workloads.is_empty()),
+            ("seeds", self.seeds.is_empty()),
+        ] {
+            if empty {
+                return Err(matrix_err(format!("{axis} axis is missing or empty")));
             }
-            (n, None) if n > 0 => {
-                return Err(matrix_err(
-                    "checkpoint_every is set but checkpoint_dir is missing; \
-                     add `checkpoint_dir = \"<directory>\"`",
-                ));
-            }
-            _ => {}
         }
-        Ok(())
+        self.template
+            .validate()
+            .map_err(|e| matrix_err(e.to_string()))
     }
 
     /// Expands the matrix into the full, deterministically-ordered run
     /// list: scheme-major, then workload, then fault plan, then seed, with
     /// the synthetic fixtures (when enabled) appended last.
-    pub fn expand(&self) -> Vec<RunSpec> {
-        let mut specs = Vec::new();
+    pub fn expand(&self) -> Vec<CampaignRun> {
         let mut plans: Vec<Option<String>> = vec![None];
         plans.extend(self.fault_plans.iter().cloned().map(Some));
+        let mut runs = Vec::new();
         for &scheme in &self.schemes {
             for workload in &self.workloads {
                 for plan in &plans {
                     for &seed in &self.seeds {
-                        specs.push(RunSpec {
+                        let spec = RunSpec {
                             scheme,
                             workload: workload.clone(),
-                            policy: self.policy,
-                            cores: self.cores,
-                            instructions: self.instructions,
-                            warmup: self.warmup,
                             seed,
-                            watchdog_no_retire: self.watchdog_no_retire,
-                            watchdog_queue_age: self.watchdog_queue_age,
                             fault_plan: plan.clone(),
-                            recovery: self.recovery,
-                            checkpoint_every: self.checkpoint_every,
-                            checkpoint_dir: self.checkpoint_dir.clone(),
-                            fixture: Fixture::None,
-                        });
+                            ..self.template.clone()
+                        };
+                        runs.push((spec, Fixture::None));
                     }
                 }
             }
         }
-        let template = specs.first().cloned();
-        if let Some(first) = template {
+        if let Some((first, _)) = runs.first().cloned() {
             if self.include_panic_fixture {
-                specs.push(RunSpec {
-                    fixture: Fixture::Panic,
-                    fault_plan: None,
-                    ..first.clone()
-                });
+                runs.push((first.clone(), Fixture::Panic));
             }
             if self.include_hang_fixture {
                 // A 20-cycle no-retire bound is below a single read's
                 // latency: the run is guaranteed to classify as hung.
-                specs.push(RunSpec {
-                    fixture: Fixture::Hang,
+                let hang = RunSpec {
                     watchdog_no_retire: 20,
                     watchdog_queue_age: 0,
-                    fault_plan: None,
                     ..first
-                });
+                };
+                runs.push((hang, Fixture::Hang));
             }
         }
-        specs
+        runs.into_iter()
+            .map(|(spec, fixture)| CampaignRun::new(spec, fixture))
+            .collect()
     }
 }
 
@@ -448,70 +315,6 @@ fn parse_string_array(value: &str, key: &str, lineno: usize) -> Result<Vec<Strin
         .collect()
 }
 
-impl RunSpec {
-    /// A copy-pasteable `pra run` invocation reproducing this run outside
-    /// the campaign harness (the panic fixture has no CLI equivalent and
-    /// renders as a comment).
-    pub fn repro_line(&self) -> String {
-        if self.fixture == Fixture::Panic {
-            return "# synthetic panic fixture (harness self-test; no CLI equivalent)".to_string();
-        }
-        let mut line = format!(
-            "pra run --scheme {} --workload {} --policy {} --cores {} --instructions {} --warmup {} --seed {}",
-            scheme_cli_name(self.scheme),
-            self.workload,
-            policy_cli_name(self.policy),
-            self.cores,
-            self.instructions,
-            self.warmup,
-            self.seed,
-        );
-        if self.watchdog_no_retire > 0 {
-            line.push_str(&format!(
-                " --watchdog-no-retire {}",
-                self.watchdog_no_retire
-            ));
-        }
-        if self.watchdog_queue_age > 0 {
-            line.push_str(&format!(
-                " --watchdog-queue-age {}",
-                self.watchdog_queue_age
-            ));
-        }
-        if let Some(plan) = &self.fault_plan {
-            line.push_str(&format!(" --faults {plan}"));
-        }
-        if self.recovery {
-            line.push_str(" --recovery");
-        }
-        if let Some(subdir) = self.checkpoint_subdir() {
-            line.push_str(&format!(
-                " --checkpoint-every {} --checkpoint-dir {}",
-                self.checkpoint_every,
-                subdir.display()
-            ));
-        }
-        line
-    }
-
-    /// This run's private checkpoint directory —
-    /// `<checkpoint_dir>/<config_digest:016x>-<seed>` — or `None` when
-    /// checkpointing is off. The digest/seed pair is the journal's resume
-    /// key, so concurrent runs of one campaign never share a directory and
-    /// a re-executed run finds exactly its own snapshots.
-    pub fn checkpoint_subdir(&self) -> Option<std::path::PathBuf> {
-        let dir = self.checkpoint_dir.as_ref()?;
-        if self.checkpoint_every == 0 {
-            return None;
-        }
-        Some(std::path::Path::new(dir).join(format!(
-            "{:016x}-{}",
-            crate::digest::config_digest(self),
-            self.seed
-        )))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -530,9 +333,10 @@ mod tests {
         assert_eq!(c.schemes, vec![Scheme::Baseline, Scheme::Pra]);
         assert_eq!(c.workloads, vec!["GUPS", "lbm", "MIX1"]);
         assert_eq!(c.seeds, vec![1, 2]);
-        assert_eq!(c.policy, PagePolicy::RelaxedClosePage);
-        assert_eq!(c.cores, 1);
-        assert_eq!(c.watchdog_no_retire, 1_000_000);
+        assert_eq!(c.template.policy, dram_sim::PagePolicy::RelaxedClosePage);
+        assert_eq!(c.template.cores, 1);
+        assert_eq!(c.template.warmup, Some(10_000));
+        assert_eq!(c.template.watchdog_no_retire, 1_000_000);
         assert_eq!(c.expand().len(), 2 * 3 * 2);
     }
 
@@ -551,7 +355,7 @@ mod tests {
         assert_eq!(panic_spec.fixture, Fixture::Panic);
         assert!(panic_spec.repro_line().starts_with('#'));
         assert_eq!(hang_spec.fixture, Fixture::Hang);
-        assert_eq!(hang_spec.watchdog_no_retire, 20);
+        assert_eq!(hang_spec.spec.watchdog_no_retire, 20);
         assert!(hang_spec.repro_line().contains("--watchdog-no-retire 20"));
     }
 
@@ -583,12 +387,12 @@ mod tests {
     fn recovery_knob_flows_into_specs_and_repro() {
         let text = format!("{MINIMAL}\nrecovery = true\n");
         let c = Campaign::from_toml_str(&text).unwrap();
-        assert!(c.recovery);
+        assert!(c.template.recovery);
         let specs = c.expand();
-        assert!(specs.iter().all(|s| s.recovery));
+        assert!(specs.iter().all(|s| s.spec.recovery));
         assert!(specs[0].repro_line().ends_with("--recovery"));
         let plain = Campaign::from_toml_str(MINIMAL).unwrap();
-        assert!(!plain.recovery, "recovery defaults off");
+        assert!(!plain.template.recovery, "recovery defaults off");
         assert!(!plain.expand()[0].repro_line().contains("--recovery"));
     }
 
@@ -596,24 +400,28 @@ mod tests {
     fn checkpoint_knobs_parse_and_flow_into_specs() {
         let text = format!("{MINIMAL}\ncheckpoint_every = 5000\ncheckpoint_dir = \"/tmp/snaps\"\n");
         let c = Campaign::from_toml_str(&text).unwrap();
-        assert_eq!(c.checkpoint_every, 5_000);
-        assert_eq!(c.checkpoint_dir.as_deref(), Some("/tmp/snaps"));
+        assert_eq!(c.template.checkpoint_every, 5_000);
+        assert_eq!(c.template.checkpoint_dir.as_deref(), Some("/tmp/snaps"));
         let specs = c.expand();
         let spec = &specs[0];
-        assert_eq!(spec.checkpoint_every, 5_000);
-        let subdir = spec.checkpoint_subdir().unwrap();
+        assert_eq!(spec.spec.checkpoint_every, 5_000);
+        let subdir = Path::new(spec.spec.checkpoint_dir.as_deref().unwrap());
+        assert_eq!(subdir.parent(), Some(Path::new("/tmp/snaps")));
         let name = subdir.file_name().unwrap().to_str().unwrap();
         // <config_digest:016x>-<seed>
         let (digest_part, seed_part) = name.split_once('-').unwrap();
         assert_eq!(digest_part.len(), 16, "{name}");
         assert_eq!(
             u64::from_str_radix(digest_part, 16).unwrap(),
-            crate::digest::config_digest(spec)
+            spec.config_digest()
         );
-        assert_eq!(seed_part, spec.seed.to_string());
+        assert_eq!(seed_part, spec.spec.seed.to_string());
         // Different seeds get different subdirectories.
-        let other = specs.iter().find(|s| s.seed != spec.seed).unwrap();
-        assert_ne!(subdir, other.checkpoint_subdir().unwrap());
+        let other = specs
+            .iter()
+            .find(|s| s.spec.seed != spec.spec.seed)
+            .unwrap();
+        assert_ne!(spec.spec.checkpoint_dir, other.spec.checkpoint_dir);
         let line = spec.repro_line();
         assert!(line.contains("--checkpoint-every 5000"), "{line}");
         assert!(
@@ -623,7 +431,7 @@ mod tests {
         // Off by default: no flags, no subdir.
         let plain = Campaign::from_toml_str(MINIMAL).unwrap();
         let spec = &plain.expand()[0];
-        assert!(spec.checkpoint_subdir().is_none());
+        assert!(spec.spec.checkpoint_dir.is_none());
         assert!(
             !spec.repro_line().contains("--checkpoint"),
             "{}",
@@ -642,6 +450,20 @@ mod tests {
         let e =
             Campaign::from_toml_str(&format!("{MINIMAL}\ncheckpoint_dir = \"\"\n")).unwrap_err();
         assert!(e.to_string().contains("non-empty"), "{e}");
+    }
+
+    #[test]
+    fn shared_keys_are_range_checked_with_line_numbers() {
+        let e = Campaign::from_toml_str(&format!("{MINIMAL}\ninstructions = 0\n")).unwrap_err();
+        assert!(
+            e.to_string()
+                .contains("line 8: instructions must be at least 1"),
+            "{e}"
+        );
+        let e = Campaign::from_toml_str(&format!("{MINIMAL}\ncores = 5\n")).unwrap_err();
+        assert!(e.to_string().contains("line 8: cores must be 1..=4"), "{e}");
+        let e = Campaign::from_toml_str(&format!("{MINIMAL}\npolicy = \"lazy\"\n")).unwrap_err();
+        assert!(e.to_string().contains("line 8: unknown policy"), "{e}");
     }
 
     #[test]

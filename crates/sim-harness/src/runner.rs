@@ -3,17 +3,16 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use pra_core::{Report, SimBuilder, SimError, SnapOutcome};
+use pra_core::{Report, SimError, SnapOutcome};
 use sim_obs::MetricsRegistry;
 
-use crate::digest::config_digest;
 use crate::journal::{load_journal, JournalRecord, JournalWriter, LoadedJournal, RunStatus};
-use crate::matrix::{Campaign, Fixture, RunSpec};
+use crate::matrix::{Campaign, CampaignRun, Fixture};
 
 /// Error starting or finishing a campaign (the individual runs inside it
 /// never error the campaign — they journal as failed/hung instead).
@@ -44,52 +43,6 @@ pub struct CampaignOptions {
     /// journal also skips completed pairs — resume merely refuses to start
     /// from scratch by accident.
     pub resume: bool,
-}
-
-/// One failed or hung run, with everything needed to triage it.
-#[derive(Debug, Clone)]
-pub struct RunFailure {
-    /// Final status ([`RunStatus::Failed`] or [`RunStatus::Hung`]).
-    pub status: RunStatus,
-    /// Scheme name.
-    pub scheme: String,
-    /// Workload name.
-    pub workload: String,
-    /// Workload RNG seed.
-    pub seed: u64,
-    /// Config digest (seed excluded), the journal's resume key.
-    pub config_digest: u64,
-    /// Panic payload, liveness trail or error message.
-    pub detail: String,
-    /// Copy-pasteable reproduction command.
-    pub repro: String,
-}
-
-/// Host timing of one executed run, kept for the "slowest runs" trail.
-#[derive(Debug, Clone)]
-pub struct RunTiming {
-    /// Scheme name.
-    pub scheme: String,
-    /// Workload name.
-    pub workload: String,
-    /// Workload RNG seed.
-    pub seed: u64,
-    /// Final status.
-    pub status: RunStatus,
-    /// Host wall-clock nanoseconds the run took.
-    pub host_nanos: u64,
-    /// CPU cycles the run simulated (0 for failed/hung runs).
-    pub cycles: u64,
-}
-
-impl RunTiming {
-    /// Simulated CPU cycles per host second (0 when nothing was timed).
-    pub fn cycles_per_sec(&self) -> f64 {
-        if self.host_nanos == 0 {
-            return 0.0;
-        }
-        self.cycles as f64 * 1e9 / self.host_nanos as f64
-    }
 }
 
 /// Slowest runs kept in the summary trail.
@@ -123,10 +76,10 @@ pub struct CampaignSummary {
     /// Worker threads used.
     pub jobs: usize,
     /// Every failed or hung run, in completion order.
-    pub failures: Vec<RunFailure>,
+    pub failures: Vec<JournalRecord>,
     /// The [`SLOWEST_KEPT`] slowest executed runs by host time, slowest
     /// first.
-    pub slowest: Vec<RunTiming>,
+    pub slowest: Vec<JournalRecord>,
     /// Campaign counters and the per-run cycle histogram.
     pub metrics: MetricsRegistry,
 }
@@ -215,85 +168,39 @@ impl CampaignSummary {
         if !self.slowest.is_empty() {
             out.push_str(&format!("\nslowest {} runs:", self.slowest.len()));
             for t in &self.slowest {
-                out.push_str(&format!(
-                    "\n  {:>9.3} s  [{}] {}/{} seed {} ({:.0} cycles/s)",
-                    t.host_nanos as f64 / 1e9,
-                    t.status,
-                    t.scheme,
-                    t.workload,
-                    t.seed,
-                    t.cycles_per_sec(),
-                ));
+                out.push_str(&format!("\n{}", t.timing_row()));
             }
         }
         for failure in &self.failures {
-            out.push_str(&format!(
-                "\n[{}] {}/{} seed {} (config {:016x}): {}\n  repro: {}",
-                failure.status,
-                failure.scheme,
-                failure.workload,
-                failure.seed,
-                failure.config_digest,
-                failure.detail,
-                failure.repro,
-            ));
+            out.push_str(&format!("\n{}", failure.failure_report()));
         }
         out
     }
 }
 
-/// Builds the simulator for one spec and runs it (optionally twice, for
+/// Builds the simulator for one run and executes it (optionally twice, for
 /// the determinism spot-check). Runs on a worker thread inside
 /// `catch_unwind`; panics (including the synthetic fixture's) unwind to
 /// the isolation boundary in [`execute_spec`].
 ///
-/// With checkpointing configured, the run writes snapshots into the spec's
+/// With checkpointing configured, the run writes snapshots into its
 /// private subdirectory and — when a previous attempt (killed campaign,
 /// failed run) left a valid snapshot behind — restores from the newest one
 /// instead of repeating the simulated prefix. The restore contract
 /// guarantees the final state digest is unchanged either way.
-fn run_spec(spec: &RunSpec, verify: bool) -> Result<(Report, SnapOutcome), SimError> {
-    if spec.fixture == Fixture::Panic {
+fn run_spec(run: &CampaignRun, verify: bool) -> Result<(Report, SnapOutcome), SimError> {
+    if run.fixture == Fixture::Panic {
         panic!(
             "synthetic panic fixture: poisoned configuration for {}",
-            spec.workload
+            run.spec.workload
         );
     }
-    let mut builder = SimBuilder::new()
-        .scheme(spec.scheme)
-        .policy(spec.policy)
-        .instructions(spec.instructions)
-        .seed(spec.seed)
-        .warmup_mem_ops(spec.warmup)
-        .liveness_watchdog(spec.watchdog_no_retire, spec.watchdog_queue_age);
-    if let Some(mix) = workloads::all_mixes()
-        .into_iter()
-        .find(|m| m.name.eq_ignore_ascii_case(&spec.workload))
-    {
-        builder = builder.name(mix.name).mix(mix.apps);
-    } else {
-        let profile = workloads::by_name(&spec.workload)
-            .unwrap_or_else(|| panic!("workload {:?} vanished after validation", spec.workload));
-        builder = builder.homogeneous(profile, spec.cores);
-    }
-    if let Some(path) = &spec.fault_plan {
-        let text = std::fs::read_to_string(path).map_err(|e| SimError::Io {
-            path: PathBuf::from(path),
-            source: e,
-        })?;
-        let plan = sim_fault::FaultPlan::from_toml_str(&text)?;
-        builder = builder.faults(plan);
-    }
-    if spec.recovery {
-        builder = builder.recovery(pra_core::RecoveryConfig::default());
-    }
-    if let Some(subdir) = spec.checkpoint_subdir() {
-        builder = builder
-            .checkpoint_every(spec.checkpoint_every)
-            .checkpoint_dir(&subdir);
+    let mut builder = run.spec.builder()?;
+    if let Some(subdir) = &run.spec.checkpoint_dir {
         // Torn or mismatched snapshots are skipped by latest_valid; the
         // run simply starts further back (or from cycle 0).
-        if let Ok(Some(found)) = sim_snap::latest_valid(&subdir, Some(builder.config_digest())) {
+        let latest = sim_snap::latest_valid(Path::new(subdir), Some(builder.config_digest()));
+        if let Ok(Some(found)) = latest {
             builder = builder.restore(found.path);
         }
     }
@@ -311,13 +218,13 @@ fn run_spec(spec: &RunSpec, verify: bool) -> Result<(Report, SnapOutcome), SimEr
     Ok((report, snap))
 }
 
-/// The cycle of the newest valid snapshot in the spec's checkpoint
+/// The cycle of the newest valid snapshot in the run's checkpoint
 /// subdirectory, or `None` when checkpointing is off or no valid snapshot
 /// exists. Used to detect whether a failed attempt made checkpoint
 /// progress (and a retry is therefore worth starting).
-fn newest_checkpoint_cycle(spec: &RunSpec) -> Option<u64> {
-    let subdir = spec.checkpoint_subdir()?;
-    sim_snap::latest_valid(&subdir, None)
+fn newest_checkpoint_cycle(run: &CampaignRun) -> Option<u64> {
+    let subdir = run.spec.checkpoint_dir.as_ref()?;
+    sim_snap::latest_valid(Path::new(subdir), None)
         .ok()
         .flatten()
         .map(|found| found.header.cycle)
@@ -375,7 +282,7 @@ fn classify_attempt(record: &mut JournalRecord, outcome: AttemptOutcome) -> bool
     }
 }
 
-/// Executes one spec behind the panic-isolation boundary and classifies
+/// Executes one run behind the panic-isolation boundary and classifies
 /// the outcome into a journal record. Never panics, never errors.
 ///
 /// With checkpointing configured, a failed or hung attempt that made
@@ -385,14 +292,13 @@ fn classify_attempt(record: &mut JournalRecord, outcome: AttemptOutcome) -> bool
 /// failures fail again quickly — the retry resumes just before the failure
 /// point — while host-level flukes (and runs re-executed after a killed
 /// campaign) complete with `resumed_from_cycle` journaled.
-fn execute_spec(spec: &RunSpec, verify: bool) -> (JournalRecord, bool) {
-    let digest = config_digest(spec);
+fn execute_spec(run: &CampaignRun, verify: bool) -> (JournalRecord, bool) {
     let mut record = JournalRecord {
-        config_digest: digest,
-        seed: spec.seed,
+        config_digest: run.config_digest(),
+        seed: run.spec.seed,
         status: RunStatus::Failed,
-        scheme: spec.scheme.name().to_string(),
-        workload: spec.workload.clone(),
+        scheme: run.spec.scheme.name().to_string(),
+        workload: run.spec.workload.clone(),
         cycles: 0,
         host_nanos: 0,
         energy_pj: 0,
@@ -400,17 +306,17 @@ fn execute_spec(spec: &RunSpec, verify: bool) -> (JournalRecord, bool) {
         resumed_from_cycle: 0,
         state_digest: None,
         detail: String::new(),
-        repro: spec.repro_line(),
+        repro: run.repro_line(),
     };
     let started = Instant::now();
-    let before = newest_checkpoint_cycle(spec);
-    let outcome = catch_unwind(AssertUnwindSafe(|| run_spec(spec, verify)));
+    let before = newest_checkpoint_cycle(run);
+    let outcome = catch_unwind(AssertUnwindSafe(|| run_spec(run, verify)));
     let mut mismatch = classify_attempt(&mut record, outcome);
     if !matches!(record.status, RunStatus::Ok | RunStatus::Recovered)
-        && newest_checkpoint_cycle(spec) > before
+        && newest_checkpoint_cycle(run) > before
     {
         let first_detail = std::mem::take(&mut record.detail);
-        let retry = catch_unwind(AssertUnwindSafe(|| run_spec(spec, verify)));
+        let retry = catch_unwind(AssertUnwindSafe(|| run_spec(run, verify)));
         mismatch = classify_attempt(&mut record, retry);
         if !matches!(record.status, RunStatus::Ok | RunStatus::Recovered) {
             record.detail = format!(
@@ -459,7 +365,8 @@ pub fn run_campaign(
         // journaled config digest must be producible by the re-expanded
         // matrix, else "skip completed runs" would silently skip runs of a
         // *different* experiment.
-        let expected: std::collections::HashSet<u64> = specs.iter().map(config_digest).collect();
+        let expected: std::collections::HashSet<u64> =
+            specs.iter().map(CampaignRun::config_digest).collect();
         if let Some(alien) = loaded
             .records
             .iter()
@@ -479,10 +386,10 @@ pub fn run_campaign(
     }
     let completed = loaded.completed_keys();
 
-    let mut todo: Vec<(RunSpec, bool)> = Vec::new();
+    let mut todo: Vec<(CampaignRun, bool)> = Vec::new();
     let mut skipped = 0usize;
     for spec in &specs {
-        if completed.contains(&(config_digest(spec), spec.seed)) {
+        if completed.contains(&(spec.config_digest(), spec.spec.seed)) {
             skipped += 1;
         } else {
             let sample = campaign.determinism_sample;
@@ -593,44 +500,28 @@ pub fn run_campaign(
             }
             summary.metrics.add(host_id, record.host_nanos);
             summary.metrics.add(energy_id, record.energy_pj);
-            let timing = RunTiming {
-                scheme: record.scheme.clone(),
-                workload: record.workload.clone(),
-                seed: record.seed,
-                status: record.status,
-                host_nanos: record.host_nanos,
-                cycles: record.cycles,
-            };
             // Per-run heartbeat, so a long campaign is observable while it
             // runs (stderr: the report itself goes to stdout).
             eprintln!(
                 "[campaign {done}/{pending}] {}/{} seed {}: {} in {:.2} s ({:.0} cycles/s) | {} ok {} recovered {} failed {} hung",
-                timing.scheme,
-                timing.workload,
-                timing.seed,
-                timing.status,
-                timing.host_nanos as f64 / 1e9,
-                timing.cycles_per_sec(),
+                record.scheme,
+                record.workload,
+                record.seed,
+                record.status,
+                record.host_nanos as f64 / 1e9,
+                record.cycles_per_sec(),
                 summary.ok,
                 summary.recovered,
                 summary.failed,
                 summary.hung,
             );
-            summary.slowest.push(timing);
+            summary.slowest.push(record.clone());
             summary
                 .slowest
                 .sort_by_key(|t| std::cmp::Reverse(t.host_nanos));
             summary.slowest.truncate(SLOWEST_KEPT);
             if !matches!(record.status, RunStatus::Ok | RunStatus::Recovered) {
-                summary.failures.push(RunFailure {
-                    status: record.status,
-                    scheme: record.scheme.clone(),
-                    workload: record.workload.clone(),
-                    seed: record.seed,
-                    config_digest: record.config_digest,
-                    detail: record.detail.clone(),
-                    repro: record.repro.clone(),
-                });
+                summary.failures.push(record.clone());
             }
             if let Err(e) = writer.append(&record) {
                 return Err(harness_err(format!(
@@ -648,25 +539,21 @@ pub fn run_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pra_core::Scheme;
+    use pra_core::{RunSpec, Scheme};
 
     fn tiny_spec(fixture: Fixture) -> RunSpec {
         RunSpec {
             scheme: Scheme::Baseline,
-            workload: "GUPS".to_string(),
-            policy: dram_sim::PagePolicy::RelaxedClosePage,
             cores: 1,
             instructions: 300,
-            warmup: 1_000,
-            seed: 1,
+            warmup: Some(1_000),
             watchdog_no_retire: if fixture == Fixture::Hang { 20 } else { 0 },
-            watchdog_queue_age: 0,
-            fault_plan: None,
-            recovery: false,
-            checkpoint_every: 0,
-            checkpoint_dir: None,
-            fixture,
+            ..RunSpec::default()
         }
+    }
+
+    fn run(spec: RunSpec, fixture: Fixture) -> CampaignRun {
+        CampaignRun::new(spec, fixture)
     }
 
     /// A fresh (pre-cleaned) checkpoint root for one test.
@@ -679,7 +566,8 @@ mod tests {
 
     #[test]
     fn panic_fixture_is_isolated_and_classified_failed() {
-        let (record, mismatch) = execute_spec(&tiny_spec(Fixture::Panic), false);
+        let (record, mismatch) =
+            execute_spec(&run(tiny_spec(Fixture::Panic), Fixture::Panic), false);
         assert_eq!(record.status, RunStatus::Failed);
         assert!(
             record.detail.contains("synthetic panic fixture"),
@@ -692,7 +580,7 @@ mod tests {
 
     #[test]
     fn hang_fixture_is_classified_hung_with_trail() {
-        let (record, _) = execute_spec(&tiny_spec(Fixture::Hang), false);
+        let (record, _) = execute_spec(&run(tiny_spec(Fixture::Hang), Fixture::Hang), false);
         assert_eq!(record.status, RunStatus::Hung);
         assert!(
             record.detail.contains("liveness violation"),
@@ -708,7 +596,7 @@ mod tests {
 
     #[test]
     fn normal_spec_reports_cycles_and_digest() {
-        let (record, _) = execute_spec(&tiny_spec(Fixture::None), true);
+        let (record, _) = execute_spec(&run(tiny_spec(Fixture::None), Fixture::None), true);
         assert_eq!(record.status, RunStatus::Ok, "{}", record.detail);
         assert!(record.cycles > 0);
         assert!(record.state_digest.is_some());
@@ -731,7 +619,7 @@ mod tests {
         spec.instructions = 3_000;
         spec.fault_plan = Some(plan.to_str().unwrap().to_string());
         spec.recovery = true;
-        let (record, mismatch) = execute_spec(&spec, true);
+        let (record, mismatch) = execute_spec(&run(spec.clone(), Fixture::None), true);
         assert_eq!(record.status, RunStatus::Recovered, "{}", record.detail);
         assert!(!mismatch, "recovery must stay digest-deterministic");
         assert!(record.state_digest.is_some());
@@ -739,7 +627,7 @@ mod tests {
         // Same spec without recovery still completes (legacy degrade path)
         // and journals plain ok.
         spec.recovery = false;
-        let (record, _) = execute_spec(&spec, false);
+        let (record, _) = execute_spec(&run(spec, Fixture::None), false);
         assert_eq!(record.status, RunStatus::Ok, "{}", record.detail);
         std::fs::remove_file(&plan).ok();
     }
@@ -748,7 +636,7 @@ mod tests {
     fn missing_fault_plan_file_fails_cleanly() {
         let mut spec = tiny_spec(Fixture::None);
         spec.fault_plan = Some("/no/such/plan.toml".to_string());
-        let (record, _) = execute_spec(&spec, false);
+        let (record, _) = execute_spec(&run(spec, Fixture::None), false);
         assert_eq!(record.status, RunStatus::Failed);
         assert!(
             record.detail.contains("/no/such/plan.toml"),
@@ -766,15 +654,16 @@ mod tests {
         let root = snap_root("reexec");
         let mut spec = tiny_spec(Fixture::None);
         spec.instructions = 4_000;
-        spec.warmup = 2_000;
+        spec.warmup = Some(2_000);
         spec.checkpoint_every = 300;
         spec.checkpoint_dir = Some(root.to_str().unwrap().to_string());
+        let spec = run(spec, Fixture::None);
         let (first, _) = execute_spec(&spec, false);
         assert_eq!(first.status, RunStatus::Ok, "{}", first.detail);
         assert_eq!(first.resumed_from_cycle, 0, "first run starts at cycle 0");
-        let subdir = spec.checkpoint_subdir().unwrap();
+        let subdir = spec.spec.checkpoint_dir.as_deref().unwrap();
         assert!(
-            std::fs::read_dir(&subdir).unwrap().count() > 0,
+            std::fs::read_dir(subdir).unwrap().count() > 0,
             "checkpoints must have been written"
         );
         let (second, _) = execute_spec(&spec, false);
@@ -805,7 +694,7 @@ mod tests {
         spec.fault_plan = Some("/no/such/plan.toml".to_string());
         spec.checkpoint_every = 300;
         spec.checkpoint_dir = Some(root.to_str().unwrap().to_string());
-        let (record, _) = execute_spec(&spec, false);
+        let (record, _) = execute_spec(&run(spec, Fixture::None), false);
         assert_eq!(record.status, RunStatus::Failed);
         assert!(
             !record.detail.contains("retry from checkpoint"),
@@ -825,7 +714,7 @@ mod tests {
         let mut spec = tiny_spec(Fixture::Hang);
         spec.checkpoint_every = 10;
         spec.checkpoint_dir = Some(root.to_str().unwrap().to_string());
-        let (record, _) = execute_spec(&spec, false);
+        let (record, _) = execute_spec(&run(spec, Fixture::Hang), false);
         assert_eq!(record.status, RunStatus::Hung, "{}", record.detail);
         assert!(
             record.detail.contains("retry from checkpoint"),

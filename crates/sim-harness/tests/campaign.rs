@@ -179,7 +179,10 @@ fn identical_configs_share_digests_across_seeds_only() {
     )
     .unwrap();
     let specs = campaign.expand();
-    let digests: Vec<u64> = specs.iter().map(sim_harness::config_digest).collect();
+    let digests: Vec<u64> = specs
+        .iter()
+        .map(sim_harness::CampaignRun::config_digest)
+        .collect();
     // Same scheme, different seed: same digest. Different scheme: different.
     assert_eq!(digests[0], digests[1]);
     assert_ne!(digests[0], digests[2]);

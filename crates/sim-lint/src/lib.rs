@@ -1,5 +1,7 @@
-//! sim-lint: a zero-dependency static analyzer that enforces the PRA
-//! simulator's correctness contracts at CI time.
+//! sim-lint: a static analyzer that enforces the PRA simulator's
+//! correctness contracts at CI time. It has no external dependencies: its
+//! one dependency is the workspace's `sim-obs` (for the shared JSON string
+//! codec), which has none either.
 //!
 //! The analyzer is semantic, not just lexical: on top of a hand-rolled
 //! lexer (see [`lexer`] — raw strings, char literals and nested block

@@ -15,9 +15,7 @@ use crate::Analysis;
 
 /// Crates whose non-test code must not panic. `sim-harness` is
 /// deliberately absent: the campaign runner's job is to *contain* panics
-/// behind `catch_unwind` (and its panic fixture raises one on purpose), so
-/// it answers to `forbid-wallclock` scoping instead — see the wallclock
-/// pass's strict-path list.
+/// behind `catch_unwind` (and its panic fixture raises one on purpose).
 pub const HOT_CRATES: &[&str] = &[
     "dram-sim",
     "cache-sim",

@@ -6,12 +6,11 @@
 //! same cycle-exact run. `SystemTime` / `Instant::now` / OS entropy break
 //! that silently. The `bench` crate is exempt from the wall-clock rule (its
 //! whole point is measuring host time) but not from the `unsafe` rule, and
-//! so is `sim-harness` (it times campaigns) — *except* its digest module,
-//! which feeds resume keys and must stay a pure function of the run spec,
-//! so it is held to the strict rule even inside the exempt crate. The
-//! mirror-image case is `sim-prof`: a strict crate whose single clock
-//! module is exempt, so the profiler's one `Instant` anchor stays
-//! corralled where the disabled path can never reach it.
+//! so is `sim-harness` (it times campaigns). The config digest that keys
+//! campaign resume lives in pra-core's `RunSpec`, so the strict rule covers
+//! it with the rest of that crate. The one exemption inside a strict crate
+//! is `sim-prof`'s clock module, so the profiler's one `Instant` anchor
+//! stays corralled where the disabled path can never reach it.
 //!
 //! The pass also verifies every crate root declares
 //! `#![forbid(unsafe_code)]` so the compiler backs the lint.
@@ -38,12 +37,8 @@ const WALLCLOCK_IDENTS: &[&str] = &[
 /// `bench` measures host time, `sim-harness` times campaign wall-clock).
 const WALLCLOCK_EXEMPT_CRATES: &[&str] = &["bench", "sim-harness"];
 
-/// Files held to the strict wall-clock rule even inside an exempt crate:
-/// determinism-critical modules whose outputs key journals or digests.
-const WALLCLOCK_STRICT_PATHS: &[&str] = &["crates/sim-harness/src/digest.rs"];
-
-/// Files allowed to read the wall clock inside an otherwise-strict crate —
-/// the inverse of [`WALLCLOCK_STRICT_PATHS`]. `sim-prof` is a profiler, but
+/// Files allowed to read the wall clock inside an otherwise-strict crate.
+/// `sim-prof` is a profiler, but
 /// only its clock module may touch `Instant`: every other module works in
 /// nanosecond integers handed to it, so a stray clock read elsewhere in the
 /// crate still fails the lint.
@@ -60,8 +55,7 @@ impl Pass for ForbidWallclockAndUnsafe {
     fn run(&self, a: &Analysis, out: &mut Vec<Diagnostic>) {
         let ws = a.ws;
         for file in &ws.files {
-            let wallclock_exempt = (WALLCLOCK_EXEMPT_CRATES.contains(&file.crate_name.as_str())
-                && !WALLCLOCK_STRICT_PATHS.contains(&file.rel_path.as_str()))
+            let wallclock_exempt = WALLCLOCK_EXEMPT_CRATES.contains(&file.crate_name.as_str())
                 || WALLCLOCK_EXEMPT_PATHS.contains(&file.rel_path.as_str());
             for (_, tok) in file.code_tokens() {
                 if tok.kind != TokKind::Ident {
@@ -170,20 +164,20 @@ mod tests {
     }
 
     #[test]
-    fn sim_harness_is_exempt_except_its_digest_module() {
+    fn sim_harness_runner_is_exempt_but_the_run_spec_digest_is_strict() {
         let runner = ws(vec![(
             "sim-harness",
             "crates/sim-harness/src/runner.rs",
             "use std::time::Instant;\nfn f() { let t = Instant::now(); }",
         )]);
         assert!(run(&runner).is_empty(), "campaign timing is allowed");
-        let digest = ws(vec![(
-            "sim-harness",
-            "crates/sim-harness/src/digest.rs",
+        let run_spec = ws(vec![(
+            "core",
+            "crates/core/src/run_spec.rs",
             "use std::time::Instant;\nfn f() { let t = Instant::now(); }",
         )]);
-        let d = run(&digest);
-        assert_eq!(d.len(), 2, "the digest module is strict: {d:?}");
+        let d = run(&run_spec);
+        assert_eq!(d.len(), 2, "the config digest's home is strict: {d:?}");
         assert!(d[0].message.contains("Instant"));
     }
 

@@ -1,11 +1,13 @@
-//! Minimal SARIF 2.1.0 export, hand-rendered (no deps), for CI
-//! code-scanning annotations.
+//! Minimal SARIF 2.1.0 export, hand-rendered, for CI code-scanning
+//! annotations.
 //!
 //! Only the fields code-scanning consumers actually read are emitted: one
 //! run, a driver with one rule per lint, and one `error`-level result per
 //! diagnostic with a single physical location.
 
-use crate::diag::{escape, Diagnostic};
+use sim_obs::json::escape;
+
+use crate::diag::Diagnostic;
 use crate::passes::LINT_NAMES;
 
 /// Renders diagnostics as a SARIF 2.1.0 log.

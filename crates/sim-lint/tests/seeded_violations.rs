@@ -268,9 +268,9 @@ fn wallclock_pragma_suppresses_seeded_instant() {
 }
 
 #[test]
-fn wallclock_exempts_sim_harness_runner_but_not_its_digest_module() {
-    // The campaign runner legitimately times wall-clock; the digest module
-    // keys journal resume and must stay pure. Same crate, opposite verdicts.
+fn wallclock_exempts_sim_harness_runner_but_not_the_run_spec_digest() {
+    // The campaign runner legitimately times wall-clock; the config digest
+    // in pra-core's run spec keys journal resume and must stay pure.
     let w = ws(vec![
         (
             "sim-harness",
@@ -278,15 +278,15 @@ fn wallclock_exempts_sim_harness_runner_but_not_its_digest_module() {
             "pub fn elapsed() { let _ = Instant::now(); }\n",
         ),
         (
-            "sim-harness",
-            "crates/sim-harness/src/digest.rs",
+            "core",
+            "crates/core/src/run_spec.rs",
             "pub fn stamp() -> u64 { Instant::now().elapsed().as_millis() as u64 }\n",
         ),
     ]);
     let diags = sim_lint::lint_sources(&w);
     let hits = lints_named(&diags, "forbid-wallclock-and-unsafe");
     assert_eq!(hits.len(), 1, "{diags:?}");
-    assert_eq!(hits[0].file, "crates/sim-harness/src/digest.rs");
+    assert_eq!(hits[0].file, "crates/core/src/run_spec.rs");
     assert!(hits[0].message.contains("`Instant`"), "{}", hits[0].message);
 }
 

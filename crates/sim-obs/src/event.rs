@@ -6,6 +6,8 @@
 //! cycle (the CPU runs at 4x the DRAM command clock in the paper's
 //! configuration — consumers should keep the two domains apart or convert).
 
+use crate::json;
+
 /// MATs activated by a conventional full-row activation; activations below
 /// this are partial (PRA / FGA / Half-DRAM). Mirrors `dram-sim`'s geometry
 /// (16 MATs per sub-array row in the paper's 2 Gb x8 DDR3 chip).
@@ -615,23 +617,24 @@ impl TraceEvent {
     /// reader, so traces from newer simulator versions degrade to skipped
     /// lines rather than hard errors.
     pub fn parse_json(line: &str) -> Option<TraceEvent> {
-        let kind = json_str(line, "kind")?;
-        let cycle = json_u64(line, "cycle")?;
+        let kind = json::str(line, "kind")?;
+        let kind = kind.as_str();
+        let cycle = json::u64(line, "cycle")?;
         match kind {
             "ACT" | "PARTIAL_ACT" => Some(TraceEvent::Activate {
                 cycle,
-                channel: json_u64(line, "ch")? as u8,
-                rank: json_u64(line, "rank")? as u8,
-                bank: json_u64(line, "bank")? as u8,
-                row: json_u64(line, "row")? as u32,
-                mats: json_u64(line, "mats")? as u32,
-                mask: json_u64(line, "mask")? as u8,
+                channel: json::u64(line, "ch")? as u8,
+                rank: json::u64(line, "rank")? as u8,
+                bank: json::u64(line, "bank")? as u8,
+                row: json::u64(line, "row")? as u32,
+                mats: json::u64(line, "mats")? as u32,
+                mask: json::u64(line, "mask")? as u8,
             }),
             "RD" | "WR" => {
-                let channel = json_u64(line, "ch")? as u8;
-                let rank = json_u64(line, "rank")? as u8;
-                let bank = json_u64(line, "bank")? as u8;
-                let row = json_u64(line, "row")? as u32;
+                let channel = json::u64(line, "ch")? as u8;
+                let rank = json::u64(line, "rank")? as u8;
+                let bank = json::u64(line, "bank")? as u8;
+                let row = json::u64(line, "row")? as u32;
                 Some(if kind == "RD" {
                     TraceEvent::Read {
                         cycle,
@@ -652,13 +655,13 @@ impl TraceEvent {
             }
             "PRE" => Some(TraceEvent::Precharge {
                 cycle,
-                channel: json_u64(line, "ch")? as u8,
-                rank: json_u64(line, "rank")? as u8,
-                bank: json_u64(line, "bank")? as u8,
+                channel: json::u64(line, "ch")? as u8,
+                rank: json::u64(line, "rank")? as u8,
+                bank: json::u64(line, "bank")? as u8,
             }),
             "REF" | "PDN" | "PUP" => {
-                let channel = json_u64(line, "ch")? as u8;
-                let rank = json_u64(line, "rank")? as u8;
+                let channel = json::u64(line, "ch")? as u8;
+                let rank = json::u64(line, "rank")? as u8;
                 Some(match kind {
                     "REF" => TraceEvent::Refresh {
                         cycle,
@@ -679,54 +682,54 @@ impl TraceEvent {
             }
             "RD_DONE" => Some(TraceEvent::ReadComplete {
                 cycle,
-                channel: json_u64(line, "ch")? as u8,
-                latency: json_u64(line, "latency")?,
+                channel: json::u64(line, "ch")? as u8,
+                latency: json::u64(line, "latency")?,
             }),
             "DRAIN" => Some(TraceEvent::DrainEnter {
                 cycle,
-                channel: json_u64(line, "ch")? as u8,
+                channel: json::u64(line, "ch")? as u8,
             }),
             "FILL" => Some(TraceEvent::CacheFill {
                 cycle,
-                core: json_u64(line, "core")? as u8,
-                line: json_u64(line, "line")?,
-                from_memory: json_bool(line, "from_memory")?,
+                core: json::u64(line, "core")? as u8,
+                line: json::u64(line, "line")?,
+                from_memory: json::bool(line, "from_memory")?,
             }),
             "WB" => Some(TraceEvent::CacheWriteback {
                 cycle,
-                line: json_u64(line, "line")?,
-                mask: json_u64(line, "mask")? as u8,
-                dbi: json_bool(line, "dbi")?,
+                line: json::u64(line, "line")?,
+                mask: json::u64(line, "mask")? as u8,
+                dbi: json::bool(line, "dbi")?,
             }),
             "STALL" => Some(TraceEvent::CoreStall {
                 cycle,
-                core: json_u64(line, "core")? as u8,
-                reason: match json_str(line, "reason")? {
+                core: json::u64(line, "core")? as u8,
+                reason: match json::str(line, "reason")?.as_str() {
                     "rob" => StallKind::Rob,
                     "ldq" => StallKind::Ldq,
                     "store_buffer" => StallKind::StoreBuffer,
                     _ => return None,
                 },
-                cycles: json_u64(line, "cycles")?,
+                cycles: json::u64(line, "cycles")?,
             }),
             "ALERT" => Some(TraceEvent::ParityAlert {
                 cycle,
-                channel: json_u64(line, "ch")? as u8,
-                rank: json_u64(line, "rank")? as u8,
-                bank: json_u64(line, "bank")? as u8,
+                channel: json::u64(line, "ch")? as u8,
+                rank: json::u64(line, "rank")? as u8,
+                bank: json::u64(line, "bank")? as u8,
             }),
             "REPLAY" => Some(TraceEvent::CommandReplay {
                 cycle,
-                channel: json_u64(line, "ch")? as u8,
-                rank: json_u64(line, "rank")? as u8,
-                bank: json_u64(line, "bank")? as u8,
-                attempt: json_u64(line, "attempt")? as u32,
+                channel: json::u64(line, "ch")? as u8,
+                rank: json::u64(line, "rank")? as u8,
+                bank: json::u64(line, "bank")? as u8,
+                attempt: json::u64(line, "attempt")? as u32,
             }),
             "EXHAUSTED" | "DEMOTE" | "PROMOTE" | "ESCAPE" => {
-                let channel = json_u64(line, "ch")? as u8;
-                let rank = json_u64(line, "rank")? as u8;
-                let bank = json_u64(line, "bank")? as u8;
-                let row = json_u64(line, "row")? as u32;
+                let channel = json::u64(line, "ch")? as u8;
+                let rank = json::u64(line, "rank")? as u8;
+                let bank = json::u64(line, "bank")? as u8;
+                let row = json::u64(line, "row")? as u32;
                 Some(match kind {
                     "EXHAUSTED" => TraceEvent::RecoveryExhausted {
                         cycle,
@@ -760,62 +763,31 @@ impl TraceEvent {
             }
             "POWER_EPOCH" => Some(TraceEvent::PowerEpoch {
                 cycle,
-                epoch: json_u64(line, "epoch")? as u32,
-                act_pre_pj: json_u64(line, "act_pre_pj")?,
-                rd_pj: json_u64(line, "rd_pj")?,
-                wr_pj: json_u64(line, "wr_pj")?,
-                rd_io_pj: json_u64(line, "rd_io_pj")?,
-                wr_io_pj: json_u64(line, "wr_io_pj")?,
-                bg_pj: json_u64(line, "bg_pj")?,
-                refresh_pj: json_u64(line, "refresh_pj")?,
-                total_uw: json_u64(line, "total_uw")?,
+                epoch: json::u64(line, "epoch")? as u32,
+                act_pre_pj: json::u64(line, "act_pre_pj")?,
+                rd_pj: json::u64(line, "rd_pj")?,
+                wr_pj: json::u64(line, "wr_pj")?,
+                rd_io_pj: json::u64(line, "rd_io_pj")?,
+                wr_io_pj: json::u64(line, "wr_io_pj")?,
+                bg_pj: json::u64(line, "bg_pj")?,
+                refresh_pj: json::u64(line, "refresh_pj")?,
+                total_uw: json::u64(line, "total_uw")?,
             }),
             "POWER_RANK" => Some(TraceEvent::PowerRank {
                 cycle,
-                rank: json_u64(line, "rank")? as u8,
-                act_stby: json_u64(line, "act_stby")?,
-                pre_stby: json_u64(line, "pre_stby")?,
-                pdn: json_u64(line, "pdn")?,
-                bg_uw: json_u64(line, "bg_uw")?,
+                rank: json::u64(line, "rank")? as u8,
+                act_stby: json::u64(line, "act_stby")?,
+                pre_stby: json::u64(line, "pre_stby")?,
+                pdn: json::u64(line, "pdn")?,
+                bg_uw: json::u64(line, "bg_uw")?,
             }),
             "CHECKPOINT" => Some(TraceEvent::Checkpoint {
                 cycle,
-                seq: json_u64(line, "seq")? as u32,
+                seq: json::u64(line, "seq")? as u32,
             }),
             "RESTORE" => Some(TraceEvent::Restore { cycle }),
             _ => None,
         }
-    }
-}
-
-fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    Some(&line[start..])
-}
-
-fn json_u64(line: &str, key: &str) -> Option<u64> {
-    let rest = json_field(line, key)?;
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn json_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let rest = json_field(line, key)?.strip_prefix('"')?;
-    let end = rest.find('"')?;
-    Some(&rest[..end])
-}
-
-fn json_bool(line: &str, key: &str) -> Option<bool> {
-    let rest = json_field(line, key)?;
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
     }
 }
 

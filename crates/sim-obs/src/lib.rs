@@ -42,6 +42,7 @@
 
 mod event;
 mod hist;
+pub mod json;
 mod registry;
 mod sink;
 

@@ -5,9 +5,8 @@
 //! `forbid-wallclock-and-unsafe` pass), so that results stay a pure
 //! function of configuration and seed. Host-time *profiling* is the
 //! sanctioned exception, and this module is the only place in `sim-prof`
-//! allowed to read the clock — sim-lint exempts exactly this file, the
-//! same way it keeps `sim-harness`'s digest module strict while exempting
-//! the rest of that crate.
+//! allowed to read the clock — sim-lint exempts exactly this file and
+//! keeps the rest of the crate strict.
 
 use std::time::Instant;
 

@@ -62,8 +62,8 @@ const CHECKSUM_LEN: usize = 8;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a 64 over `bytes` — the same digest family the rest of the
-/// workspace uses for state and configuration digests.
+/// FNV-1a 64 over `bytes` — the workspace's one digest primitive, behind
+/// snapshot checksums, `Report::state_digest` and both config digests.
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     let mut hash = FNV_OFFSET;
     for &b in bytes {
@@ -658,6 +658,13 @@ pub struct FoundSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv_matches_reference_vector() {
+        // FNV-1a("a") from the reference implementation.
+        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
+    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("sim-snap-test-{tag}-{}", std::process::id()));

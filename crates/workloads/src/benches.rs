@@ -211,6 +211,31 @@ pub fn all_mixes() -> Vec<Mix> {
     ]
 }
 
+/// Resolves a workload name (case-insensitive) to its canonical spelling
+/// and one profile per core: a benchmark name gives `cores` identical
+/// instances, `MIX1`..`MIX6` give the paper's Table 4 mixes (always four
+/// applications, whatever `cores` says).
+///
+/// # Errors
+///
+/// An unknown name, with a message listing the valid ones.
+pub fn resolve(name: &str, cores: usize) -> Result<(&'static str, Vec<BenchProfile>), String> {
+    if let Some(mix) = all_mixes()
+        .into_iter()
+        .find(|m| m.name.eq_ignore_ascii_case(name))
+    {
+        return Ok((mix.name, mix.apps.to_vec()));
+    }
+    let profile = by_name(name).ok_or_else(|| {
+        let names: Vec<&str> = all_benchmarks().iter().map(|b| b.name).collect();
+        format!(
+            "unknown workload {name:?}; valid: {} or MIX1..MIX6",
+            names.join(", ")
+        )
+    })?;
+    Ok((profile.name, vec![profile; cores]))
+}
+
 /// The paper's full 14-workload evaluation set: each application run as
 /// four identical instances, plus the six mixes. Returns `(name, apps)`
 /// pairs with four profiles each.
@@ -285,6 +310,21 @@ mod tests {
         assert_eq!(by_name("gups").unwrap().name, "GUPS");
         assert_eq!(by_name("LBM").unwrap().name, "lbm");
         assert!(by_name("dhrystone").is_none());
+    }
+
+    #[test]
+    fn resolve_canonicalises_benchmarks_and_mixes() {
+        let (name, apps) = resolve("gups", 4).unwrap();
+        assert_eq!(name, "GUPS");
+        assert_eq!(apps.len(), 4);
+        let (name, apps) = resolve("mix3", 1).unwrap();
+        assert_eq!(name, "MIX3");
+        assert_eq!(apps.len(), 4, "mixes are always four apps");
+        let e = resolve("dhrystone", 1).unwrap_err();
+        assert!(e
+            .to_string()
+            .starts_with("unknown workload \"dhrystone\"; valid: bzip2"));
+        assert!(e.ends_with("LinkedList or MIX1..MIX6"), "{e}");
     }
 
     #[test]
