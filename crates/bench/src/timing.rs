@@ -10,6 +10,11 @@
 //! readable `BENCH_*.json` reports, while [`bench`] remains the printing
 //! wrapper the figure/table binaries call.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "benchmarks measure host time; the simulated runs they time never read it"
+)]
+
 use std::hint::black_box;
 use std::time::Instant;
 

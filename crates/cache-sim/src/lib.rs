@@ -27,7 +27,6 @@
 //! assert_eq!(writebacks[0].1, WordMask::single(0));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cache;

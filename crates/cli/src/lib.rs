@@ -2,7 +2,6 @@
 //! run/compare/trace/list subcommands. Lives in a library so the logic is
 //! unit-testable; `main.rs` is a thin shim.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
@@ -486,6 +485,9 @@ pub fn cmd_trace(opts: &Options) -> Result<String, CliError> {
                 std::fs::File::open(path).map_err(|e| err(format!("cannot open {path}: {e}")))?;
             let trace = workloads::Trace::load(std::io::BufReader::new(file))
                 .map_err(|e| err(format!("parse failed: {e}")))?;
+            if trace.is_empty() {
+                return Err(err(format!("{path} holds no trace ops")));
+            }
             let mut replay = trace.replay();
             let summary = workloads::analysis::analyze(&mut replay, trace.len() as u64);
             Ok(render_summary(path, &summary))
@@ -762,6 +764,9 @@ pub fn cmd_campaign(opts: &Options) -> Result<String, CliError> {
 pub fn cmd_analyze(opts: &Options) -> Result<String, CliError> {
     let (name, app) = workload(opts)?;
     let ops = opts.get_u64("ops", 200_000)?;
+    if ops == 0 {
+        return Err(err("--ops must be positive"));
+    }
     let mut generator = workloads::WorkloadGen::new(app, opts.get_u64("seed", 1)?, 0);
     let summary = workloads::analysis::analyze(&mut generator, ops);
     Ok(render_summary(name, &summary))
@@ -1327,6 +1332,65 @@ mod tests {
         assert!(std::fs::read_to_string(&metrics)?.contains("dram.activations"));
         std::fs::remove_file(trace).ok();
         std::fs::remove_file(metrics).ok();
+        Ok(())
+    }
+
+    #[test]
+    fn trace_and_metrics_write_failures_exit_two() -> TestResult {
+        // Every write to /dev/full fails with ENOSPC after the open succeeds.
+        if !Path::new("/dev/full").exists() {
+            return Ok(());
+        }
+        let dir = std::env::temp_dir().join("pra-cli-test");
+        std::fs::create_dir_all(&dir)?;
+        let file = dir.join("full.jsonl");
+        let file = file.to_str().ok_or("non-utf8 temp path")?;
+        for (trace_out, metrics_out) in [(file, "/dev/full"), ("/dev/full", file)] {
+            let opts = Options::parse(
+                [
+                    "run",
+                    "--workload",
+                    "gups",
+                    "--scheme",
+                    "pra",
+                    "--cores",
+                    "1",
+                    "--instructions",
+                    "5000",
+                    "--warmup",
+                    "20000",
+                    "--trace-out",
+                    trace_out,
+                    "--metrics-out",
+                    metrics_out,
+                    "--metrics-epoch",
+                    "1000",
+                ]
+                .map(String::from),
+            )?;
+            let e = cmd_trace(&opts).expect_err("a failed write must fail the run");
+            assert_eq!(e.kind.exit_code(), 2);
+            assert!(e.message.contains("cannot write /dev/full"), "{e}");
+        }
+        std::fs::remove_file(file).ok();
+        Ok(())
+    }
+
+    #[test]
+    fn analysis_of_nothing_is_an_error_not_a_panic() -> TestResult {
+        let opts = Options::parse(["--workload", "gups", "--ops", "0"].map(String::from))?;
+        assert_eq!(
+            cmd_analyze(&opts).map_err(|e| e.kind),
+            Err(ErrorKind::Config)
+        );
+        let dir = std::env::temp_dir().join("pra-cli-test");
+        std::fs::create_dir_all(&dir)?;
+        let empty = dir.join("empty.trace");
+        std::fs::write(&empty, "")?;
+        let info = Options::parse(["info".to_string(), empty.to_string_lossy().into_owned()])?;
+        let e = cmd_trace(&info).expect_err("an empty trace has nothing to analyse");
+        assert!(e.message.contains("no trace ops"), "{e}");
+        std::fs::remove_file(empty).ok();
         Ok(())
     }
 

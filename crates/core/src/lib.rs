@@ -41,7 +41,6 @@
 //! assert!(pra.power.total() < baseline.power.total());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod error;

@@ -507,7 +507,7 @@ impl SimBuilder {
     /// [`SimError::NoApplications`] when no applications were added,
     /// [`SimError::Config`]/[`SimError::FaultPlan`] on inconsistent inputs,
     /// [`SimError::Io`] when a trace or metrics output file cannot be
-    /// created, and [`SimError::EmptyRun`] when the run ends before its
+    /// created or written, and [`SimError::EmptyRun`] when the run ends before its
     /// first memory cycle.
     pub fn try_run(&self) -> Result<Report, SimError> {
         self.try_run_snap().map(|(report, _)| report)
@@ -629,6 +629,7 @@ impl SimBuilder {
             generators,
             self.instructions,
         );
+        let mut trace_file = None;
         if let Some(path) = &self.trace_out {
             let sink = sim_obs::JsonlSink::create(path).map_err(|e| SimError::Io {
                 path: path.clone(),
@@ -637,6 +638,7 @@ impl SimBuilder {
             // One shared sink so DRAM, cache and core events interleave in
             // emission order within a single JSONL stream.
             let shared = std::rc::Rc::new(std::cell::RefCell::new(sink));
+            trace_file = Some((path, std::rc::Rc::clone(&shared)));
             system
                 .mem_mut()
                 .set_trace_sink(Box::new(std::rc::Rc::clone(&shared)));
@@ -721,6 +723,20 @@ impl SimBuilder {
                 None => system.try_run(cap)?,
             }
         };
+        // Trace and metrics writes that failed mid-run (a full disk) let
+        // the run finish; the first failure fails the run here.
+        if let Some((path, sink)) = &trace_file {
+            if let Some(source) = sink.borrow_mut().take_error() {
+                let path = path.to_path_buf();
+                return Err(SimError::Io { path, source });
+            }
+        }
+        if let Some(path) = &self.metrics_out {
+            if let Some(source) = system.mem_mut().observer_mut().take_metrics_error() {
+                let path = path.clone();
+                return Err(SimError::Io { path, source });
+            }
+        }
         if let Some(ring) = &self.trace_ring {
             // Surface silent flight-recorder overflow: the retained window
             // is only the tail of the run once this counter is nonzero.

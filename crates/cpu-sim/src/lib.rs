@@ -42,7 +42,6 @@
 //! assert!(out.per_core[0].ipc() > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod core;

@@ -58,6 +58,7 @@ impl EnergyAccounting {
     ///
     /// Panics if `ranks == 0`.
     pub fn new(params: PowerParams, ranks: usize) -> Self {
+        // sim-lint: allow(no-panic-hot-path): the simulation's one caller, MemorySystem::try_new, passes channels x ranks after DramConfig::validate rejects a zero count
         assert!(ranks > 0, "a DRAM system needs at least one rank");
         EnergyAccounting {
             params,
@@ -105,7 +106,7 @@ impl EnergyAccounting {
     ///
     /// Panics if `mats` is outside `1..=16`.
     pub fn activation_mats(&mut self, mats: u32) {
-        // sim-lint: allow(panic-reachability): hot-path callers derive mats from ActCoverage, which is clamped to 1..=16 at construction
+        // sim-lint: allow(no-panic-hot-path): hot-path callers derive mats from ActCoverage, which is clamped to 1..=16 at construction
         assert!((1..=16).contains(&mats), "mats must be 1..=16, got {mats}");
         if mats.is_multiple_of(2) {
             self.activation(mats / 2);
@@ -139,7 +140,7 @@ impl EnergyAccounting {
     ///
     /// Panics if `fraction` is not within `(0.0, 1.0]`.
     pub fn write_line(&mut self, fraction: f64) {
-        // sim-lint: allow(panic-reachability): hot-path callers pass dirty_words/8 with dirty_words in 1..=8, so the fraction is always in (0, 1]
+        // sim-lint: allow(no-panic-hot-path): hot-path callers pass dirty_words/8 with dirty_words in 1..=8, so the fraction is always in (0, 1]
         assert!(
             fraction > 0.0 && fraction <= 1.0,
             "write fraction must be in (0, 1], got {fraction}"

@@ -81,7 +81,7 @@ impl ActivationEnergyModel {
     ///
     /// Panics if `mats` is 0 or exceeds [`ActivationEnergyModel::mats_per_row`].
     pub fn energy_per_activation_pj(&self, mats: u32) -> f64 {
-        // sim-lint: allow(panic-reachability): the hot-path caller (EnergyAccounting::activation_mats) validates 1..=16 and the paper model has mats_per_row = 16
+        // sim-lint: allow(no-panic-hot-path): the hot-path caller (EnergyAccounting::activation_mats) validates 1..=16 and the paper model has mats_per_row = 16
         assert!(
             mats >= 1 && mats <= self.mats_per_row,
             "mats must be 1..={}, got {mats}",

@@ -46,6 +46,7 @@ impl EnergyBreakdown {
     ///
     /// Panics if `elapsed_ns` is not strictly positive.
     pub fn to_power(&self, elapsed_ns: f64) -> PowerBreakdown {
+        // sim-lint: allow(no-panic-hot-path): callers guard: the epoch rail skips dt <= 0, and pra-core returns SimError::EmptyRun before it asks for a report's power
         assert!(
             elapsed_ns > 0.0,
             "elapsed time must be positive, got {elapsed_ns}"

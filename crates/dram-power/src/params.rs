@@ -235,7 +235,7 @@ impl PowerParams {
     ///
     /// Panics if `granularity_eighths` is not in `1..=8`.
     pub fn act_power_mw(&self, granularity_eighths: u32) -> f64 {
-        // sim-lint: allow(panic-reachability): hot-path callers pass mats.div_ceil(2) with mats clamped to 1..=16, so eighths is always 1..=8
+        // sim-lint: allow(no-panic-hot-path): hot-path callers pass mats.div_ceil(2) with mats clamped to 1..=16, so eighths is always 1..=8
         assert!(
             (1..=8).contains(&granularity_eighths),
             "activation granularity must be 1..=8 eighths, got {granularity_eighths}"

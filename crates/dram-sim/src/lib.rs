@@ -36,7 +36,6 @@
 //! # Ok::<(), dram_sim::QueueFull>(())
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bank;

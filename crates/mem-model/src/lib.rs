@@ -30,7 +30,6 @@
 //! assert_eq!(format!("{mask}"), "10000001b");
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod addr;

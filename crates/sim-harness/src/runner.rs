@@ -1,5 +1,10 @@
 //! The panic-isolated parallel campaign executor.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the journal records each run's host time and the campaign's elapsed time; no run reads the clock"
+)]
+
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};

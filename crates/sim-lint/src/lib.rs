@@ -1,37 +1,31 @@
 //! sim-lint: a static analyzer that enforces the PRA simulator's
-//! correctness contracts at CI time. It has no external dependencies: its
-//! one dependency is the workspace's `sim-obs` (for the shared JSON string
-//! codec), which has none either.
+//! correctness contracts that rustc and clippy cannot check. It has no
+//! external dependencies: its one dependency is the workspace's `sim-obs`
+//! (for the shared JSON string codec), which has none either.
 //!
-//! The analyzer is semantic, not just lexical: on top of a hand-rolled
-//! lexer (see [`lexer`] — raw strings, char literals and nested block
-//! comments are handled, so text never masquerades as code) it builds a
-//! workspace-wide [item index](items) of every `fn`/`impl`/`trait` with
-//! module paths, and a [conservative call graph](callgraph) (direct calls,
-//! method calls resolved by receiver-type heuristics, closures attributed
-//! to their enclosing function). The passes:
+//! The analyzer is lexical: every pass walks the token stream of a
+//! hand-rolled [`lexer`] (raw strings, char literals and nested block
+//! comments are handled, so text never masquerades as code) with
+//! `#[cfg(test)]` regions masked out. The passes:
 //!
 //! * `no-panic-hot-path` — no `unwrap`/`expect`/`panic!`/`unreachable!`/
-//!   runtime asserts in non-test code of the simulator hot-path crates
-//!   (lexical, per-site).
-//! * `panic-reachability` — no panicking construct transitively reachable
-//!   from the hot-loop entry points (`Channel::tick`,
-//!   `MemorySystem::try_tick`, the bank FSM); diagnostics carry the full
-//!   call chain.
+//!   runtime asserts in non-test code of any simulation crate (every crate
+//!   but the host-side tools `bench`, `cli`, `sim-harness` and `sim-lint`).
 //! * `checker-parity` — every `TimingParams` field is enforced by both the
 //!   scheduler and the independent protocol checker.
 //! * `metric-registry` — every emitted metric / trace-event name follows
 //!   the naming convention and matches the `docs/metrics.md` manifest.
-//! * `forbid-wallclock-and-unsafe` — no wall-clock reads, ambient
-//!   randomness or `unsafe` in deterministic sim crates, and every crate
-//!   root declares `#![forbid(unsafe_code)]`.
-//! * `discarded-result` — no `let _ =`, `.ok();` or bare-statement drops
-//!   of `Result`s returned by workspace sim APIs.
+//! * `discarded-result` — no `let _ =` or `.ok();` drops of a call whose
+//!   name is a `Result`-returning workspace `fn`.
 //! * `cycle-arith` — no unchecked `+`/`*` on cycle/deadline/epoch-named
 //!   values in the hot crates; event-jump arithmetic must saturate or
 //!   check.
-//! * `dead-pragma` — a suppression that no longer suppresses anything is
-//!   itself an error.
+//!
+//! The compiler covers the rest, configured in the root manifest's
+//! `[workspace.lints]` and `clippy.toml`: `unsafe_code` is forbidden,
+//! `unused_must_use` rejects bare-statement drops of any `Result`, and
+//! clippy's `disallowed_types` keeps `Instant`/`SystemTime` out of every
+//! module but three reasoned `#![expect]` exemptions.
 //!
 //! All passes are deny-by-default. Site-level exemptions use
 //!
@@ -39,15 +33,12 @@
 //! // sim-lint: allow(lint-name): reason this is sound
 //! ```
 //!
-//! on (or directly above) the offending line; the reason is mandatory and
-//! ill-formed pragmas are themselves diagnosed by the always-on `pragma`
-//! meta lint, which cannot be suppressed.
+//! on (or directly above) the offending line; the reason is mandatory.
+//! Two always-on meta lints, which cannot be suppressed, keep pragmas
+//! honest: `pragma` reports ill-formed pragmas and unknown lint names, and
+//! `dead-pragma` reports a pragma that no longer suppresses anything.
 
-#![forbid(unsafe_code)]
-
-pub mod callgraph;
 pub mod diag;
-pub mod items;
 pub mod lexer;
 pub mod passes;
 pub mod sarif;
@@ -59,26 +50,6 @@ use std::path::Path;
 pub use diag::{to_json, to_json_report, Diagnostic};
 pub use workspace::{load_workspace, Manifest, Workspace};
 
-/// Everything a pass may consult: the lexed workspace plus the semantic
-/// layers built over it (item index and call graph).
-pub struct Analysis<'a> {
-    /// The lexed workspace.
-    pub ws: &'a Workspace,
-    /// Workspace-wide `fn`/`impl`/`trait`/`use` index.
-    pub items: items::ItemIndex,
-    /// Conservative call graph over the index.
-    pub calls: callgraph::CallGraph,
-}
-
-impl<'a> Analysis<'a> {
-    /// Builds the semantic layers for a loaded workspace.
-    pub fn new(ws: &'a Workspace) -> Self {
-        let items = items::ItemIndex::build(ws);
-        let calls = callgraph::CallGraph::build(ws, &items);
-        Analysis { ws, items, calls }
-    }
-}
-
 /// Lints the workspace rooted at `root`. Returns the post-suppression
 /// diagnostics, sorted by file, line, lint.
 pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
@@ -87,30 +58,15 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
 }
 
 /// Runs every pass over an already-loaded workspace, applies pragma
-/// suppression, runs the `dead-pragma` phase over the pre-suppression
-/// results, and appends `pragma` meta-diagnostics.
+/// suppression, and appends the `pragma` and `dead-pragma` meta
+/// diagnostics.
 pub fn lint_sources(ws: &Workspace) -> Vec<Diagnostic> {
-    let analysis = Analysis::new(ws);
     let mut raw = Vec::new();
-    for pass in passes::all_passes() {
-        pass.run(&analysis, &mut raw);
+    for (_, pass) in passes::PASSES {
+        pass(ws, &mut raw);
     }
 
-    // Dead-pragma runs on the PRE-suppression diagnostics: a pragma is
-    // alive exactly when it covers at least one raw diagnostic of a lint
-    // it names. Its output manages its own (allow(dead-pragma)) exemptions.
-    let dead = passes::dead_pragma::run(ws, &raw);
-
-    let mut out: Vec<Diagnostic> = raw
-        .into_iter()
-        .filter(|d| {
-            !ws.files
-                .iter()
-                .any(|f| f.rel_path == d.file && f.suppresses(&d.lint, d.line))
-        })
-        .collect();
-    out.extend(dead);
-
+    let mut out = Vec::new();
     for file in &ws.files {
         for err in &file.pragma_errors {
             out.push(Diagnostic::new(
@@ -122,20 +78,32 @@ pub fn lint_sources(ws: &Workspace) -> Vec<Diagnostic> {
         }
         for pragma in &file.pragmas {
             for lint in &pragma.lints {
-                if !passes::LINT_NAMES.contains(&lint.as_str()) {
-                    out.push(Diagnostic::new(
-                        "pragma",
-                        &file.rel_path,
-                        pragma.line,
-                        format!(
-                            "pragma references unknown lint `{lint}` (known lints: {})",
-                            passes::LINT_NAMES.join(", ")
-                        ),
-                    ));
-                }
+                let (meta, message) = if !passes::lint_names().any(|name| name == lint) {
+                    let known = passes::lint_names().collect::<Vec<_>>().join(", ");
+                    let message =
+                        format!("pragma references unknown lint `{lint}` (known lints: {known})");
+                    ("pragma", message)
+                } else if !raw
+                    .iter()
+                    .any(|d| d.lint == *lint && d.file == file.rel_path && pragma.covers(d.line))
+                {
+                    let message = format!(
+                        "pragma `allow({lint})` suppresses nothing — the violation it \
+                         excused is gone; remove the pragma"
+                    );
+                    ("dead-pragma", message)
+                } else {
+                    continue;
+                };
+                out.push(Diagnostic::new(meta, &file.rel_path, pragma.line, message));
             }
         }
     }
+    out.extend(raw.into_iter().filter(|d| {
+        !ws.files
+            .iter()
+            .any(|f| f.rel_path == d.file && f.suppresses(&d.lint, d.line))
+    }));
 
     out.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.lint.as_str()).cmp(&(b.file.as_str(), b.line, b.lint.as_str()))
@@ -195,15 +163,38 @@ mod tests {
 
     #[test]
     fn unknown_lint_name_in_pragma_is_diagnosed() {
+        // Retired lints are unknown too: a pragma naming one, carried over
+        // on an old branch, fails instead of silently suppressing nothing.
+        for lint in [
+            "no-such-lint",
+            "panic-reachability",
+            "forbid-wallclock-and-unsafe",
+            "dead-pragma",
+        ] {
+            let w = ws_one(
+                "dram-sim",
+                "crates/dram-sim/src/x.rs",
+                &format!("// sim-lint: allow({lint}): whatever\nfn f() {{}}\n"),
+            );
+            let d = lint_sources(&w);
+            assert_eq!(d.len(), 1, "{lint}: {d:?}");
+            assert_eq!(d[0].lint, "pragma");
+            assert!(d[0].message.contains(lint), "{}", d[0].message);
+        }
+    }
+
+    #[test]
+    fn a_pragma_covers_its_own_line_and_the_next_only() {
+        // The unwrap sits two lines below the pragma: it is reported, and
+        // the pragma, which covers nothing, is dead.
         let w = ws_one(
             "dram-sim",
             "crates/dram-sim/src/x.rs",
-            "// sim-lint: allow(no-such-lint): whatever\nfn f() {}\n",
+            "// sim-lint: allow(no-panic-hot-path): too far away\n\nfn f() { a.unwrap(); }\n",
         );
         let d = lint_sources(&w);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].lint, "pragma");
-        assert!(d[0].message.contains("no-such-lint"));
+        let lints: Vec<&str> = d.iter().map(|d| d.lint.as_str()).collect();
+        assert_eq!(lints, ["dead-pragma", "no-panic-hot-path"], "{d:?}");
     }
 
     #[test]

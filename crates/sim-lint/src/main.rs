@@ -7,8 +7,6 @@
 //! `--offline` is accepted (and ignored) so CI can pass the same flag set
 //! to cargo and the tool.
 
-#![forbid(unsafe_code)]
-
 use std::env;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -119,10 +117,10 @@ fn print_usage() {
     eprintln!(
         "usage: sim-lint --workspace [--json] [--sarif PATH] [--offline] [--root PATH]\n\
          \n\
-         Statically enforces the simulator's correctness contracts:\n\
-         no-panic-hot-path, panic-reachability, checker-parity,\n\
-         metric-registry, forbid-wallclock-and-unsafe, discarded-result,\n\
-         cycle-arith, dead-pragma. See docs/lints.md for the catalog.\n\
+         Statically enforces the simulator's correctness contracts that\n\
+         rustc and clippy cannot check: no-panic-hot-path, checker-parity,\n\
+         metric-registry, discarded-result, cycle-arith. See docs/lints.md\n\
+         for the catalog.\n\
          Exit 0 = clean, 1 = violations, 2 = internal error."
     );
 }

@@ -16,11 +16,22 @@ use std::collections::HashSet;
 
 use crate::diag::Diagnostic;
 use crate::lexer::TokKind;
-use crate::passes::no_panic::HOT_CRATES;
-use crate::passes::Pass;
-use crate::Analysis;
+use crate::workspace::Workspace;
 
-const LINT: &str = "cycle-arith";
+/// Lint name used in diagnostics and `allow(...)` pragmas.
+pub const LINT: &str = "cycle-arith";
+
+/// Crates whose cycle arithmetic is checked: the DRAM, cache and CPU
+/// models, the shared memory model, the simulation driver and the
+/// recovery engine.
+const HOT_CRATES: &[&str] = &[
+    "dram-sim",
+    "cache-sim",
+    "cpu-sim",
+    "mem-model",
+    "core",
+    "sim-recover",
+];
 
 /// Whether an identifier names a cycle-domain quantity.
 fn is_cycle_name(s: &str) -> bool {
@@ -28,69 +39,61 @@ fn is_cycle_name(s: &str) -> bool {
     l.contains("cycle") || l.contains("deadline") || l.contains("epoch")
 }
 
-/// Pass implementation.
-pub struct CycleArith;
-
-impl Pass for CycleArith {
-    fn name(&self) -> &'static str {
-        LINT
-    }
-
-    fn run(&self, a: &Analysis, out: &mut Vec<Diagnostic>) {
-        for file in &a.ws.files {
-            if !HOT_CRATES.contains(&file.crate_name.as_str()) {
+/// Runs the pass over the workspace.
+pub fn run(ws: &Workspace, out: &mut Vec<Diagnostic>) {
+    for file in &ws.files {
+        if !HOT_CRATES.contains(&file.crate_name.as_str()) {
+            continue;
+        }
+        let toks = &file.tokens;
+        let mut flagged: HashSet<u32> = HashSet::new();
+        for (i, tok) in file.code_tokens() {
+            let op = match tok.kind {
+                TokKind::Punct(c @ ('+' | '*')) => c,
+                _ => continue,
+            };
+            // `+=` / `*=` compound assignment is out of scope.
+            if toks.get(i + 1).map(|t| t.is_punct('=')).unwrap_or(false) {
                 continue;
             }
-            let toks = &file.tokens;
-            let mut flagged: HashSet<u32> = HashSet::new();
-            for (i, tok) in file.code_tokens() {
-                let op = match tok.kind {
-                    TokKind::Punct(c @ ('+' | '*')) => c,
-                    _ => continue,
-                };
-                // `+=` / `*=` compound assignment is out of scope.
-                if toks.get(i + 1).map(|t| t.is_punct('=')).unwrap_or(false) {
-                    continue;
-                }
-                // Binary use only: the left operand must end an expression,
-                // which also excludes deref `*x` and trait bounds `T: A + B`
-                // (the `+` there follows `>` or an uppercase path we never
-                // name-match).
-                let Some(prev) = i.checked_sub(1).map(|p| &toks[p]) else {
-                    continue;
-                };
-                if !matches!(
-                    prev.kind,
-                    TokKind::Ident | TokKind::Num | TokKind::Punct(')') | TokKind::Punct(']')
-                ) {
-                    continue;
-                }
-                let mut names: Vec<&str> = Vec::new();
-                if prev.kind == TokKind::Ident {
-                    names.push(prev.text.as_str());
-                }
-                if let Some(r) = right_operand_ident(toks, i + 1) {
-                    names.push(r);
-                }
-                if !names.iter().any(|n| is_cycle_name(n)) {
-                    continue;
-                }
-                if !flagged.insert(tok.line) {
-                    continue;
-                }
-                out.push(Diagnostic::new(
-                    LINT,
-                    &file.rel_path,
-                    tok.line,
-                    format!(
-                        "unchecked `{op}` on a cycle/deadline/epoch value — a wrap \
+            // Binary use only: the left operand must end an expression,
+            // which also excludes deref `*x` and trait bounds `T: A + B`
+            // (the `+` there follows `>` or an uppercase path we never
+            // name-match).
+            let Some(prev) = i.checked_sub(1).map(|p| &toks[p]) else {
+                continue;
+            };
+            if !matches!(
+                prev.kind,
+                TokKind::Ident | TokKind::Num | TokKind::Punct(')') | TokKind::Punct(']')
+            ) {
+                continue;
+            }
+            let mut names: Vec<&str> = Vec::new();
+            if prev.kind == TokKind::Ident {
+                names.push(prev.text.as_str());
+            }
+            if let Some(r) = right_operand_ident(toks, i + 1) {
+                names.push(r);
+            }
+            if !names.iter().any(|n| is_cycle_name(n)) {
+                continue;
+            }
+            if !flagged.insert(tok.line) {
+                continue;
+            }
+            out.push(Diagnostic::new(
+                LINT,
+                &file.rel_path,
+                tok.line,
+                format!(
+                    "unchecked `{op}` on a cycle/deadline/epoch value — a wrap \
                          silently reorders future events; use `saturating_{}` or \
                          `checked_{}`, or pragma-annotate with the overflow argument",
-                        if op == '+' { "add" } else { "mul" },
-                        if op == '+' { "add" } else { "mul" },
-                    ),
-                ));
-            }
+                    if op == '+' { "add" } else { "mul" },
+                    if op == '+' { "add" } else { "mul" },
+                ),
+            ));
         }
     }
 }
@@ -145,7 +148,7 @@ mod tests {
 
     fn run(w: &Workspace) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        CycleArith.run(&Analysis::new(w), &mut out);
+        super::run(w, &mut out);
         out
     }
 

@@ -1,76 +1,54 @@
-//! `discarded-result`: a `Result` returned by a workspace sim API must not
-//! be silently dropped in non-test code.
+//! `discarded-result`: a `Result` returned by a workspace function must not
+//! be dropped with `let _ = …;` or `….ok();` in non-test code.
 //!
-//! The pass walks the resolved [call graph](crate::callgraph) sites whose
-//! callee is an indexed workspace function declared to return `Result`, and
-//! flags three discard shapes:
+//! Callees are matched by name. One token scan collects the name of every
+//! non-test workspace `fn` whose declared return type mentions `Result`;
+//! the pass then flags two discard shapes at every non-test call of such a
+//! name:
 //!
-//! * `let _ = sim_api(...);` — wildcard binding (a `?` after the call still
+//! * `let _ = api(...);` — wildcard binding (a `?` after the call still
 //!   propagates the error, so that form passes);
-//! * `sim_api(...).ok();` — converting to `Option` and dropping it as a
-//!   bare statement;
-//! * `sim_api(...);` — a bare-statement drop.
+//! * `api(...).ok();` — converting to `Option` and dropping it as a bare
+//!   statement.
 //!
-//! Because only *resolved* workspace calls are considered, `let _ =
-//! writeln!(...)` (a macro) and `std::fs` conveniences never flag: the lint
-//! polices the simulator's own fallible APIs, whose errors encode protocol
-//! faults that must be handled or propagated.
+//! Matching by name over-approximates: a call that shares its name with a
+//! `Result`-returning workspace `fn` is checked whatever it resolves to.
+//! Macros never match, so `let _ = writeln!(...)` into a `String` passes.
+//! The third shape, a bare-statement drop `api(...);`, is rustc's
+//! `unused_must_use`, denied for every `Result` in `[workspace.lints]`.
 
 use std::collections::HashSet;
 
 use crate::diag::Diagnostic;
 use crate::lexer::{TokKind, Token};
-use crate::passes::Pass;
-use crate::Analysis;
+use crate::workspace::Workspace;
 
-const LINT: &str = "discarded-result";
+/// Lint name used in diagnostics and `allow(...)` pragmas.
+pub const LINT: &str = "discarded-result";
 
-/// Pass implementation.
-pub struct DiscardedResult;
-
-impl Pass for DiscardedResult {
-    fn name(&self) -> &'static str {
-        LINT
-    }
-
-    fn run(&self, a: &Analysis, out: &mut Vec<Diagnostic>) {
-        let mut seen: HashSet<(usize, usize)> = HashSet::new();
-        for site in &a.calls.sites {
-            let callee = &a.items.fns[site.callee];
-            if !callee.returns_result {
+/// Runs the pass over the workspace.
+pub fn run(ws: &Workspace, out: &mut Vec<Diagnostic>) {
+    let fallible = result_fn_names(ws);
+    for file in &ws.files {
+        let toks = &file.tokens;
+        for (i, tok) in file.code_tokens() {
+            if !(fallible.contains(tok.text.as_str()) && is_call(toks, i)) {
                 continue;
             }
-            let caller = &a.items.fns[site.caller];
-            if caller.is_test {
-                continue;
-            }
-            if !seen.insert((caller.file_idx, site.name_tok)) {
-                continue; // trait-dispatch fan-out: one report per site
-            }
-            let file = &a.ws.files[caller.file_idx];
-            let toks = &file.tokens;
-            let close = match_paren(toks, site.name_tok + 1);
-            let next = toks.get(close + 1);
-
-            let start = expr_start(toks, site.name_tok);
-            let before = start.checked_sub(1).map(|p| &toks[p]);
+            let close = match_paren(toks, i + 1);
+            let start = expr_start(toks, i);
             let let_wildcard = start >= 3
                 && toks[start - 1].is_punct('=')
                 && toks[start - 2].is_ident("_")
                 && toks[start - 3].is_ident("let");
-            let stmt_start = match before {
-                None => true,
-                Some(t) => t.is_punct(';') || t.is_punct('{') || t.is_punct('}'),
-            };
-
+            let stmt_start =
+                start == 0 || matches!(toks[start - 1].kind, TokKind::Punct(';' | '{' | '}'));
             let shape = if let_wildcard {
                 // `let _ = f()?;` propagates the error — that consumes it.
-                if next.map(|t| t.is_punct('?')).unwrap_or(false) {
+                if toks.get(close + 1).is_some_and(|t| t.is_punct('?')) {
                     continue;
                 }
                 "bound to `let _ =`"
-            } else if stmt_start && next.map(|t| t.is_punct(';')).unwrap_or(false) {
-                "dropped as a bare statement"
             } else if stmt_start && is_dropped_ok_chain(toks, close) {
                 "converted with `.ok()` and dropped"
             } else {
@@ -79,16 +57,70 @@ impl Pass for DiscardedResult {
             out.push(Diagnostic::new(
                 LINT,
                 &file.rel_path,
-                site.line,
+                tok.line,
                 format!(
                     "`Result` returned by `{}` is {shape} — handle the error, \
                      propagate it with `?`, or pragma-annotate with the reason \
                      the failure is ignorable",
-                    callee.display(),
+                    tok.text,
                 ),
             ));
         }
     }
+}
+
+/// Names of the non-test workspace `fn`s whose return type mentions
+/// `Result` (the tokens between `->` and the body, `;` or `where`).
+fn result_fn_names(ws: &Workspace) -> HashSet<&str> {
+    let mut names = HashSet::new();
+    for file in &ws.files {
+        let toks = &file.tokens;
+        for (i, tok) in file.code_tokens() {
+            let Some(name) = toks
+                .get(i + 1)
+                .filter(|n| tok.is_ident("fn") && n.kind == TokKind::Ident)
+            else {
+                continue;
+            };
+            // Skip generics to the parameter list, then the parameters.
+            let mut k = i + 2;
+            let mut angle = 0i32;
+            while k < toks.len() && !(angle == 0 && toks[k].is_punct('(')) {
+                match toks[k].kind {
+                    TokKind::Punct('<') => angle += 1,
+                    TokKind::Punct('>') => angle -= 1,
+                    _ => {}
+                }
+                k += 1;
+            }
+            k = match_paren(toks, k) + 1;
+            if !(toks.get(k).is_some_and(|t| t.is_punct('-'))
+                && toks.get(k + 1).is_some_and(|t| t.is_punct('>')))
+            {
+                continue;
+            }
+            let mut angle = 0i32;
+            for t in &toks[k + 2..] {
+                match t.kind {
+                    TokKind::Punct('<') => angle += 1,
+                    TokKind::Punct('>') => angle -= 1,
+                    TokKind::Punct('{' | ';') if angle <= 0 => break,
+                    TokKind::Ident if t.text == "where" && angle <= 0 => break,
+                    TokKind::Ident if t.text == "Result" => {
+                        names.insert(name.text.as_str());
+                        break;
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+    names
+}
+
+/// `name (` in call position: not a declaration `fn name(` or a macro.
+fn is_call(toks: &[Token], i: usize) -> bool {
+    toks.get(i + 1).is_some_and(|t| t.is_punct('(')) && !(i > 0 && toks[i - 1].is_ident("fn"))
 }
 
 /// `).ok();` directly after the call's closing parenthesis.
@@ -207,7 +239,7 @@ mod tests {
 
     fn run(w: &Workspace) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        DiscardedResult.run(&Analysis::new(w), &mut out);
+        super::run(w, &mut out);
         out
     }
 
@@ -216,14 +248,36 @@ mod tests {
         let d = run(&ws_one("    let _ = bus.issue();"));
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(d[0].message.contains("let _ ="));
-        assert!(d[0].message.contains("Bus::issue"));
+        assert!(d[0].message.contains("`issue`"));
     }
 
     #[test]
-    fn bare_statement_drop_is_flagged() {
-        let d = run(&ws_one("    bus.issue();"));
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert!(d[0].message.contains("bare statement"));
+    fn bare_statement_drop_is_left_to_rustc() {
+        // `unused_must_use` (denied in `[workspace.lints]`) rejects it.
+        assert!(run(&ws_one("    bus.issue();")).is_empty());
+    }
+
+    #[test]
+    fn callee_is_matched_by_name_across_files_and_generics() {
+        let w = Workspace {
+            files: vec![
+                SourceFile::parse(
+                    "sim-obs",
+                    "crates/sim-obs/src/a.rs",
+                    "pub fn load<P: AsRef<Path>>(p: P) -> io::Result<Vec<u8>> { todo() }\n",
+                    false,
+                ),
+                SourceFile::parse(
+                    "cli",
+                    "crates/cli/src/b.rs",
+                    "fn go() { let _ = sim_obs::load(\"x\"); let _ = other.load(1); }\n",
+                    false,
+                ),
+            ],
+            manifest: None,
+            manifest_path: "docs/metrics.md".to_string(),
+        };
+        assert_eq!(run(&w).len(), 2);
     }
 
     #[test]

@@ -14,146 +14,136 @@ use std::collections::HashSet;
 
 use crate::diag::Diagnostic;
 use crate::lexer::TokKind;
-use crate::passes::Pass;
-use crate::workspace::{Manifest, MetricKind};
-use crate::Analysis;
+use crate::workspace::{Manifest, MetricKind, Workspace};
 
-const LINT: &str = "metric-registry";
+/// Lint name used in diagnostics and `allow(...)` pragmas.
+pub const LINT: &str = "metric-registry";
 
 /// File whose uppercase string literals define the trace-event kind tags.
 const EVENT_FILE: &str = "crates/sim-obs/src/event.rs";
 
-/// Pass implementation.
-pub struct MetricRegistry;
+/// Runs the pass over the workspace.
+pub fn run(ws: &Workspace, out: &mut Vec<Diagnostic>) {
+    let empty = Manifest::default();
+    let manifest = ws.manifest.as_ref().unwrap_or(&empty);
 
-impl Pass for MetricRegistry {
-    fn name(&self) -> &'static str {
-        LINT
+    for (line, msg) in &manifest.errors {
+        out.push(Diagnostic::new(LINT, &ws.manifest_path, *line, msg.clone()));
     }
 
-    fn run(&self, a: &Analysis, out: &mut Vec<Diagnostic>) {
-        let ws = a.ws;
-        let empty = Manifest::default();
-        let manifest = ws.manifest.as_ref().unwrap_or(&empty);
+    let mut emitted: HashSet<String> = HashSet::new();
+    let mut traced: HashSet<String> = HashSet::new();
 
-        for (line, msg) in &manifest.errors {
-            out.push(Diagnostic::new(LINT, &ws.manifest_path, *line, msg.clone()));
+    for file in &ws.files {
+        // Metric emitter sites.
+        for (i, tok) in file.code_tokens() {
+            let kind = match tok.text.as_str() {
+                "counter" | "set" => MetricKind::Counter,
+                "gauge" => MetricKind::Gauge,
+                "histogram" => MetricKind::Histogram,
+                _ => continue,
+            };
+            if tok.kind != TokKind::Ident {
+                continue;
+            }
+            let open = file.tokens.get(i + 1).map(|t| t.is_punct('(')) == Some(true);
+            let arg = file.tokens.get(i + 2);
+            let Some(arg) = arg.filter(|t| open && t.kind == TokKind::Str) else {
+                continue;
+            };
+            let name = arg.text.clone();
+            if !is_valid_metric_name(&name) {
+                out.push(Diagnostic::new(
+                    LINT,
+                    &file.rel_path,
+                    arg.line,
+                    format!(
+                        "metric name \"{name}\" violates the `component.noun[.qualifier]` \
+                             convention (lowercase dotted segments of [a-z0-9_])"
+                    ),
+                ));
+                continue;
+            }
+            emitted.insert(name.clone());
+            match manifest.get(&name) {
+                None => out.push(Diagnostic::new(
+                    LINT,
+                    &file.rel_path,
+                    arg.line,
+                    format!(
+                        "metric \"{name}\" is not declared in docs/metrics.md — add a \
+                             manifest row describing it"
+                    ),
+                )),
+                Some(entry) if entry.kind != kind => out.push(Diagnostic::new(
+                    LINT,
+                    &file.rel_path,
+                    arg.line,
+                    format!(
+                        "metric \"{name}\" is emitted as a {} but docs/metrics.md \
+                             declares it a {}",
+                        kind.as_str(),
+                        entry.kind.as_str()
+                    ),
+                )),
+                Some(_) => {}
+            }
         }
 
-        let mut emitted: HashSet<String> = HashSet::new();
-        let mut traced: HashSet<String> = HashSet::new();
-
-        for file in &ws.files {
-            // Metric emitter sites.
-            for (i, tok) in file.code_tokens() {
-                let kind = match tok.text.as_str() {
-                    "counter" | "set" => MetricKind::Counter,
-                    "gauge" => MetricKind::Gauge,
-                    "histogram" => MetricKind::Histogram,
-                    _ => continue,
-                };
-                if tok.kind != TokKind::Ident {
+        // Trace-event kind tags.
+        if file.rel_path == EVENT_FILE {
+            for (_, tok) in file.code_tokens() {
+                if tok.kind != TokKind::Str || !is_trace_kind(&tok.text) {
                     continue;
                 }
-                let open = file.tokens.get(i + 1).map(|t| t.is_punct('(')) == Some(true);
-                let arg = file.tokens.get(i + 2);
-                let Some(arg) = arg.filter(|t| open && t.kind == TokKind::Str) else {
-                    continue;
-                };
-                let name = arg.text.clone();
-                if !is_valid_metric_name(&name) {
-                    out.push(Diagnostic::new(
+                let name = tok.text.clone();
+                traced.insert(name.clone());
+                match manifest.get(&name) {
+                    Some(e) if e.kind == MetricKind::TraceEvent => {}
+                    Some(_) => out.push(Diagnostic::new(
                         LINT,
                         &file.rel_path,
-                        arg.line,
+                        tok.line,
                         format!(
-                            "metric name \"{name}\" violates the `component.noun[.qualifier]` \
-                             convention (lowercase dotted segments of [a-z0-9_])"
+                            "trace-event kind \"{name}\" is declared in docs/metrics.md \
+                                 with a non-trace-event kind"
                         ),
-                    ));
-                    continue;
-                }
-                emitted.insert(name.clone());
-                match manifest.get(&name) {
+                    )),
                     None => out.push(Diagnostic::new(
                         LINT,
                         &file.rel_path,
-                        arg.line,
+                        tok.line,
                         format!(
-                            "metric \"{name}\" is not declared in docs/metrics.md — add a \
-                             manifest row describing it"
-                        ),
-                    )),
-                    Some(entry) if entry.kind != kind => out.push(Diagnostic::new(
-                        LINT,
-                        &file.rel_path,
-                        arg.line,
-                        format!(
-                            "metric \"{name}\" is emitted as a {} but docs/metrics.md \
-                             declares it a {}",
-                            kind.as_str(),
-                            entry.kind.as_str()
-                        ),
-                    )),
-                    Some(_) => {}
-                }
-            }
-
-            // Trace-event kind tags.
-            if file.rel_path == EVENT_FILE {
-                for (_, tok) in file.code_tokens() {
-                    if tok.kind != TokKind::Str || !is_trace_kind(&tok.text) {
-                        continue;
-                    }
-                    let name = tok.text.clone();
-                    traced.insert(name.clone());
-                    match manifest.get(&name) {
-                        Some(e) if e.kind == MetricKind::TraceEvent => {}
-                        Some(_) => out.push(Diagnostic::new(
-                            LINT,
-                            &file.rel_path,
-                            tok.line,
-                            format!(
-                                "trace-event kind \"{name}\" is declared in docs/metrics.md \
-                                 with a non-trace-event kind"
-                            ),
-                        )),
-                        None => out.push(Diagnostic::new(
-                            LINT,
-                            &file.rel_path,
-                            tok.line,
-                            format!(
-                                "trace-event kind \"{name}\" is not declared in \
+                            "trace-event kind \"{name}\" is not declared in \
                                  docs/metrics.md — add a trace-event manifest row"
-                            ),
-                        )),
-                    }
+                        ),
+                    )),
                 }
             }
         }
+    }
 
-        // Manifest entries no code emits (dynamic entries exempt).
-        if ws.manifest.is_some() {
-            for entry in &manifest.entries {
-                if entry.dynamic {
-                    continue;
-                }
-                let seen = match entry.kind {
-                    MetricKind::TraceEvent => traced.contains(&entry.name),
-                    _ => emitted.contains(&entry.name),
-                };
-                if !seen {
-                    out.push(Diagnostic::new(
-                        LINT,
-                        &ws.manifest_path,
-                        entry.line,
-                        format!(
-                            "manifest entry `{}` is emitted by no code — remove the row or \
+    // Manifest entries no code emits (dynamic entries exempt).
+    if ws.manifest.is_some() {
+        for entry in &manifest.entries {
+            if entry.dynamic {
+                continue;
+            }
+            let seen = match entry.kind {
+                MetricKind::TraceEvent => traced.contains(&entry.name),
+                _ => emitted.contains(&entry.name),
+            };
+            if !seen {
+                out.push(Diagnostic::new(
+                    LINT,
+                    &ws.manifest_path,
+                    entry.line,
+                    format!(
+                        "manifest entry `{}` is emitted by no code — remove the row or \
                              mark it `(dynamic)` if the name is built at runtime",
-                            entry.name
-                        ),
-                    ));
-                }
+                        entry.name
+                    ),
+                ));
             }
         }
     }
@@ -208,7 +198,7 @@ mod tests {
 
     fn run(ws: &Workspace) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        MetricRegistry.run(&Analysis::new(ws), &mut out);
+        super::run(ws, &mut out);
         out
     }
 

@@ -1,50 +1,34 @@
-//! The lint passes. Each pass walks the analyzed workspace and appends
+//! The lint passes. Each pass walks the workspace and appends
 //! [`Diagnostic`]s; suppression is applied afterwards by the driver.
 
 pub mod cycle_arith;
-pub mod dead_pragma;
 pub mod discarded_result;
 pub mod metrics;
 pub mod no_panic;
-pub mod panic_reach;
 pub mod parity;
-pub mod wallclock;
 
 use crate::diag::Diagnostic;
-use crate::Analysis;
+use crate::workspace::Workspace;
 
-/// A lint pass.
-pub trait Pass {
-    /// Lint name used in diagnostics and `allow(...)` pragmas.
-    fn name(&self) -> &'static str;
-    /// Runs the pass over the analyzed workspace.
-    fn run(&self, a: &Analysis, out: &mut Vec<Diagnostic>);
-}
+/// A pass: walks the workspace and appends its diagnostics.
+pub type PassFn = fn(&Workspace, &mut Vec<Diagnostic>);
 
-/// All shipped passes, in reporting order. The `dead-pragma` pass is not
-/// listed: it runs as a dedicated phase in [`crate::lint_sources`] because
-/// it needs the pre-suppression diagnostics of every other pass as input.
-pub fn all_passes() -> Vec<Box<dyn Pass>> {
-    vec![
-        Box::new(no_panic::NoPanicHotPath),
-        Box::new(panic_reach::PanicReachability),
-        Box::new(parity::CheckerParity),
-        Box::new(metrics::MetricRegistry),
-        Box::new(wallclock::ForbidWallclockAndUnsafe),
-        Box::new(discarded_result::DiscardedResult),
-        Box::new(cycle_arith::CycleArith),
-    ]
-}
-
-/// Names of every lint a pragma may reference (the `pragma` meta lint is
-/// always on and cannot be suppressed).
-pub const LINT_NAMES: &[&str] = &[
-    "no-panic-hot-path",
-    "panic-reachability",
-    "checker-parity",
-    "metric-registry",
-    "forbid-wallclock-and-unsafe",
-    "discarded-result",
-    "cycle-arith",
-    "dead-pragma",
+/// Every shipped pass, in reporting order, with the lint name its
+/// diagnostics carry and its `allow(...)` pragmas name.
+pub const PASSES: &[(&str, PassFn)] = &[
+    (no_panic::LINT, no_panic::run),
+    (parity::LINT, parity::run),
+    (metrics::LINT, metrics::run),
+    (discarded_result::LINT, discarded_result::run),
+    (cycle_arith::LINT, cycle_arith::run),
 ];
+
+/// Always-on checks of the pragmas themselves: `pragma` (ill-formed or
+/// naming an unknown lint) and `dead-pragma` (suppresses nothing). Neither
+/// can be suppressed.
+pub const META_LINTS: &[&str] = &["pragma", "dead-pragma"];
+
+/// The lint names a pragma may reference, in reporting order.
+pub fn lint_names() -> impl Iterator<Item = &'static str> {
+    PASSES.iter().map(|(name, _)| *name)
+}

@@ -1,5 +1,5 @@
-//! `no-panic-hot-path`: forbid panicking constructs in non-test code of the
-//! simulator hot-path crates.
+//! `no-panic-hot-path`: forbid panicking constructs in non-test code of
+//! every simulation crate.
 //!
 //! Flagged: `.unwrap()`, `.expect(`, `panic!`, `unreachable!`, `todo!`,
 //! `unimplemented!`, and the `assert!` / `assert_eq!` / `assert_ne!` macros
@@ -7,37 +7,35 @@
 //! compiles out of release builds, so it cannot take a production run down.
 //! The fix is a typed `SimError` / `Result` path; a pragma with a reason is
 //! acceptable only for provably-infallible sites.
+//!
+//! The pass checks every crate except the host-side [`TOOL_CRATES`], so
+//! each crate the DRAM hot loop links is checked at every site, and a new
+//! crate is checked by default. No trait implemented in a tool crate can
+//! be dispatched from the hot loop, so no hot-loop panic escapes the check.
 
 use crate::diag::Diagnostic;
-use crate::lexer::Token;
-use crate::passes::Pass;
-use crate::Analysis;
+use crate::lexer::{TokKind, Token};
+use crate::workspace::Workspace;
 
-/// Crates whose non-test code must not panic. `sim-harness` is
-/// deliberately absent: the campaign runner's job is to *contain* panics
-/// behind `catch_unwind` (and its panic fixture raises one on purpose).
-pub const HOT_CRATES: &[&str] = &[
-    "dram-sim",
-    "cache-sim",
-    "cpu-sim",
-    "mem-model",
-    "core",
-    "sim-recover",
-];
+/// Host-side tools outside the simulation: the benchmark binaries, the
+/// `pra` front end, the campaign harness (whose job is to *contain* panics
+/// behind `catch_unwind`; its panic fixture raises one on purpose) and this
+/// linter.
+pub const TOOL_CRATES: &[&str] = &["bench", "cli", "sim-harness", "sim-lint"];
 
-const LINT: &str = "no-panic-hot-path";
+/// Lint name used in diagnostics and `allow(...)` pragmas.
+pub const LINT: &str = "no-panic-hot-path";
 
 /// If the token at `i` is a panicking construct, returns its display form
-/// (`.unwrap(...)`, `panic!(...)`, …). Shared with the interprocedural
-/// `panic-reachability` pass so both agree on what "panicking" means.
-pub fn panic_construct(tokens: &[Token], i: usize) -> Option<String> {
-    let tok = tokens.get(i)?;
-    if !matches!(tok.kind, crate::lexer::TokKind::Ident) {
+/// (`.unwrap(...)`, `panic!(...)`, …).
+fn panic_construct(tokens: &[Token], i: usize) -> Option<String> {
+    let tok = &tokens[i];
+    if tok.kind != TokKind::Ident {
         return None;
     }
     let prev_dot = i > 0 && tokens[i - 1].is_punct('.');
-    let next_bang = tokens.get(i + 1).map(|t| t.is_punct('!')).unwrap_or(false);
-    let next_paren = tokens.get(i + 1).map(|t| t.is_punct('(')).unwrap_or(false);
+    let next_bang = tokens.get(i + 1).is_some_and(|t| t.is_punct('!'));
+    let next_paren = tokens.get(i + 1).is_some_and(|t| t.is_punct('('));
     let flagged = match tok.text.as_str() {
         "unwrap" | "expect" => prev_dot && next_paren,
         // `panic!(...)` — but not `std::panic::catch_unwind`.
@@ -54,32 +52,24 @@ pub fn panic_construct(tokens: &[Token], i: usize) -> Option<String> {
     })
 }
 
-/// Pass implementation.
-pub struct NoPanicHotPath;
-
-impl Pass for NoPanicHotPath {
-    fn name(&self) -> &'static str {
-        LINT
-    }
-
-    fn run(&self, a: &Analysis, out: &mut Vec<Diagnostic>) {
-        for file in &a.ws.files {
-            if !HOT_CRATES.contains(&file.crate_name.as_str()) {
-                continue;
-            }
-            for (i, tok) in file.code_tokens() {
-                if let Some(display) = panic_construct(&file.tokens, i) {
-                    out.push(Diagnostic::new(
-                        LINT,
-                        &file.rel_path,
-                        tok.line,
-                        format!(
-                            "`{display}` in simulator hot path — return a typed \
-                             `SimError`/`Result` instead, or pragma-annotate a \
-                             provably-infallible site with a reason"
-                        ),
-                    ));
-                }
+/// Runs the pass over the workspace.
+pub fn run(ws: &Workspace, out: &mut Vec<Diagnostic>) {
+    for file in &ws.files {
+        if TOOL_CRATES.contains(&file.crate_name.as_str()) {
+            continue;
+        }
+        for (i, tok) in file.code_tokens() {
+            if let Some(display) = panic_construct(&file.tokens, i) {
+                out.push(Diagnostic::new(
+                    LINT,
+                    &file.rel_path,
+                    tok.line,
+                    format!(
+                        "`{display}` in simulation code — return a typed \
+                         `SimError`/`Result` instead, or pragma-annotate a \
+                         provably-infallible site with a reason"
+                    ),
+                ));
             }
         }
     }
@@ -101,7 +91,7 @@ mod tests {
 
     fn run(ws: &Workspace) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        NoPanicHotPath.run(&Analysis::new(ws), &mut out);
+        super::run(ws, &mut out);
         out
     }
 
@@ -120,13 +110,15 @@ mod tests {
     }
 
     #[test]
-    fn ignores_non_hot_crates_and_test_code() {
-        let ws = ws_one(
-            "sim-obs",
-            "crates/sim-obs/src/x.rs",
-            "fn f() { a.unwrap(); }",
-        );
-        assert!(run(&ws).is_empty());
+    fn ignores_tool_crates_and_test_code() {
+        for tool in TOOL_CRATES {
+            let ws = ws_one(
+                tool,
+                &format!("crates/{tool}/src/x.rs"),
+                "fn f() { a.unwrap(); }",
+            );
+            assert!(run(&ws).is_empty(), "{tool}");
+        }
         let ws = ws_one(
             "dram-sim",
             "crates/dram-sim/src/x.rs",
@@ -136,17 +128,27 @@ mod tests {
     }
 
     #[test]
-    fn recovery_engine_is_a_hot_crate() {
-        // The recovery engine sits on the command-issue path: a panic there
-        // takes down the whole channel mid-replay.
-        let ws = ws_one(
+    fn every_other_crate_is_checked() {
+        // The crates the hot loop links, the recovery engine on the
+        // command-issue path, the facade, and a crate added later: all
+        // checked without being listed anywhere.
+        for krate in [
+            "sim-obs",
+            "dram-power",
+            "workloads",
             "sim-recover",
-            "crates/sim-recover/src/x.rs",
-            "fn f() { let until = map.get(&key).unwrap(); assert!(until > 0); }",
-        );
-        let d = run(&ws);
-        assert_eq!(d.len(), 2, "{d:?}");
-        assert!(d.iter().all(|d| d.lint == "no-panic-hot-path"));
+            "pra-repro",
+            "new-crate",
+        ] {
+            let ws = ws_one(
+                krate,
+                &format!("crates/{krate}/src/x.rs"),
+                "fn f() { let until = map.get(&key).unwrap(); assert!(until > 0); }",
+            );
+            let d = run(&ws);
+            assert_eq!(d.len(), 2, "{krate}: {d:?}");
+            assert!(d.iter().all(|d| d.lint == "no-panic-hot-path"));
+        }
     }
 
     #[test]

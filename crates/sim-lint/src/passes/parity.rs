@@ -13,69 +13,59 @@ use std::collections::HashSet;
 
 use crate::diag::Diagnostic;
 use crate::lexer::TokKind;
-use crate::passes::Pass;
 use crate::source::SourceFile;
 use crate::workspace::Workspace;
-use crate::Analysis;
 
-const LINT: &str = "checker-parity";
+/// Lint name used in diagnostics and `allow(...)` pragmas.
+pub const LINT: &str = "checker-parity";
 
 /// Files that implement scheduler-side timing fences.
 const SCHEDULER_FILES: &[&str] = &["src/channel.rs", "src/bank.rs", "src/rank.rs"];
 /// File that implements the independent verifier.
 const CHECKER_FILE: &str = "src/checker.rs";
 
-/// Pass implementation.
-pub struct CheckerParity;
+/// Runs the pass over the workspace.
+pub fn run(ws: &Workspace, out: &mut Vec<Diagnostic>) {
+    let Some((timing_file, fields)) = find_timing_fields(ws) else {
+        return; // no TimingParams definition in this workspace
+    };
 
-impl Pass for CheckerParity {
-    fn name(&self) -> &'static str {
-        LINT
+    let mut sched_idents: HashSet<&str> = HashSet::new();
+    let mut chk_idents: HashSet<&str> = HashSet::new();
+    for file in &ws.files {
+        if file.crate_name != "dram-sim" {
+            continue;
+        }
+        if SCHEDULER_FILES.iter().any(|s| file.rel_path.ends_with(s)) {
+            collect_idents(file, &mut sched_idents);
+        } else if file.rel_path.ends_with(CHECKER_FILE) {
+            collect_idents(file, &mut chk_idents);
+        }
     }
 
-    fn run(&self, a: &Analysis, out: &mut Vec<Diagnostic>) {
-        let ws = a.ws;
-        let Some((timing_file, fields)) = find_timing_fields(ws) else {
-            return; // no TimingParams definition in this workspace
-        };
-
-        let mut sched_idents: HashSet<&str> = HashSet::new();
-        let mut chk_idents: HashSet<&str> = HashSet::new();
-        for file in &ws.files {
-            if file.crate_name != "dram-sim" {
-                continue;
-            }
-            if SCHEDULER_FILES.iter().any(|s| file.rel_path.ends_with(s)) {
-                collect_idents(file, &mut sched_idents);
-            } else if file.rel_path.ends_with(CHECKER_FILE) {
-                collect_idents(file, &mut chk_idents);
-            }
+    for (name, line) in fields {
+        let in_sched = sched_idents.contains(name.as_str());
+        let in_chk = chk_idents.contains(name.as_str());
+        if in_sched && in_chk {
+            continue;
         }
-
-        for (name, line) in fields {
-            let in_sched = sched_idents.contains(name.as_str());
-            let in_chk = chk_idents.contains(name.as_str());
-            if in_sched && in_chk {
-                continue;
-            }
-            let message = match (in_sched, in_chk) {
-                (true, false) => format!(
-                    "TimingParams field `{name}` is enforced by the scheduler but never \
+        let message = match (in_sched, in_chk) {
+            (true, false) => format!(
+                "TimingParams field `{name}` is enforced by the scheduler but never \
                      verified by the protocol checker (checker.rs) — add a checker rule \
                      or pragma-annotate the field with the reason it is checker-exempt"
-                ),
-                (false, true) => format!(
-                    "TimingParams field `{name}` is verified by the protocol checker but \
+            ),
+            (false, true) => format!(
+                "TimingParams field `{name}` is verified by the protocol checker but \
                      never enforced by the scheduler (channel.rs/bank.rs/rank.rs) — the \
                      checker would reject every schedule that exercises it"
-                ),
-                _ => format!(
-                    "TimingParams field `{name}` is referenced by neither the scheduler \
+            ),
+            _ => format!(
+                "TimingParams field `{name}` is referenced by neither the scheduler \
                      nor the protocol checker — dead timing parameter"
-                ),
-            };
-            out.push(Diagnostic::new(LINT, &timing_file, line, message));
-        }
+            ),
+        };
+        out.push(Diagnostic::new(LINT, &timing_file, line, message));
     }
 }
 
@@ -151,7 +141,7 @@ mod tests {
 
     fn run(ws: &Workspace) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        CheckerParity.run(&Analysis::new(ws), &mut out);
+        super::run(ws, &mut out);
         out
     }
 

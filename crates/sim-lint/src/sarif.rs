@@ -8,7 +8,7 @@
 use sim_obs::json::escape;
 
 use crate::diag::Diagnostic;
-use crate::passes::LINT_NAMES;
+use crate::passes::{lint_names, META_LINTS};
 
 /// Renders diagnostics as a SARIF 2.1.0 log.
 pub fn to_sarif(diags: &[Diagnostic]) -> String {
@@ -17,9 +17,8 @@ pub fn to_sarif(diags: &[Diagnostic]) -> String {
          \"version\": \"2.1.0\",\n  \"runs\": [\n    {\n      \"tool\": {\n        \
          \"driver\": {\n          \"name\": \"sim-lint\",\n          \"rules\": [",
     );
-    let mut rules: Vec<&str> = LINT_NAMES.to_vec();
-    rules.push("pragma");
-    for (i, rule) in rules.iter().enumerate() {
+    let rules = lint_names().chain(META_LINTS.iter().copied());
+    for (i, rule) in rules.enumerate() {
         if i > 0 {
             out.push(',');
         }

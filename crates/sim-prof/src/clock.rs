@@ -1,12 +1,17 @@
 //! The profiler's single window onto the host monotonic clock.
 //!
 //! The workspace forbids wall-clock and monotonic time everywhere the
-//! simulator's behaviour could observe it (sim-lint's
-//! `forbid-wallclock-and-unsafe` pass), so that results stay a pure
-//! function of configuration and seed. Host-time *profiling* is the
-//! sanctioned exception, and this module is the only place in `sim-prof`
-//! allowed to read the clock — sim-lint exempts exactly this file and
+//! simulator's behaviour could observe it (clippy's `disallowed_types`,
+//! configured in `clippy.toml`), so that results stay a pure function of
+//! configuration and seed. Host-time *profiling* is the sanctioned
+//! exception, and this module is the only place in `sim-prof` allowed to
+//! read the clock — the exemption below covers exactly this file and
 //! keeps the rest of the crate strict.
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "the profiler's one host-clock anchor; span times never reach simulated state"
+)]
 
 use std::time::Instant;
 

@@ -42,7 +42,6 @@
 //! }
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use core::fmt;

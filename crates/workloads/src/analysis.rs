@@ -75,6 +75,7 @@ impl StreamSummary {
 ///
 /// Panics if `n_ops == 0`.
 pub fn analyze<S: InstructionSource + ?Sized>(source: &mut S, n_ops: u64) -> StreamSummary {
+    // sim-lint: allow(no-panic-hot-path): offline analysis, off the simulation path; the CLI rejects --ops 0 and empty traces before calling
     assert!(n_ops > 0, "analyse at least one op");
     let mut summary = StreamSummary {
         ops: n_ops,

@@ -72,16 +72,19 @@ impl BenchProfile {
     /// Panics if probabilities are out of range or the dirty-word
     /// distribution does not sum to 1.
     pub fn assert_valid(&self) {
+        // sim-lint: allow(no-panic-hot-path): profiles come from the built-in benchmark tables, which benches.rs tests pin valid; this is the documented check
         assert!(
             self.compute_per_mem < 10_000,
             "{}: implausible intensity",
             self.name
         );
+        // sim-lint: allow(no-panic-hot-path): profiles come from the built-in benchmark tables, which benches.rs tests pin valid; this is the documented check
         assert!(
             (0.0..=1.0).contains(&self.store_fraction),
             "{}: store fraction out of range",
             self.name
         );
+        // sim-lint: allow(no-panic-hot-path): profiles come from the built-in benchmark tables, which benches.rs tests pin valid; this is the documented check
         assert!(
             (0.0..=1.0).contains(&self.rmw_prob),
             "{}: rmw prob out of range",
@@ -93,29 +96,35 @@ impl BenchProfile {
             burst,
         } = self.pattern
         {
+            // sim-lint: allow(no-panic-hot-path): profiles come from the built-in benchmark tables, which benches.rs tests pin valid; this is the documented check
             assert!(streams > 0, "{}: need at least one stream", self.name);
+            // sim-lint: allow(no-panic-hot-path): profiles come from the built-in benchmark tables, which benches.rs tests pin valid; this is the documented check
             assert!(
                 burst >= 1,
                 "{}: burst must be at least one access",
                 self.name
             );
+            // sim-lint: allow(no-panic-hot-path): profiles come from the built-in benchmark tables, which benches.rs tests pin valid; this is the documented check
             assert!(
                 (0.0..=1.0).contains(&stream_prob),
                 "{}: stream prob out of range",
                 self.name
             );
         }
+        // sim-lint: allow(no-panic-hot-path): profiles come from the built-in benchmark tables, which benches.rs tests pin valid; this is the documented check
         assert!(
             self.footprint_lines >= 64,
             "{}: footprint too small to be meaningful",
             self.name
         );
         let sum: f64 = self.dirty_words_dist.iter().sum();
+        // sim-lint: allow(no-panic-hot-path): profiles come from the built-in benchmark tables, which benches.rs tests pin valid; this is the documented check
         assert!(
             (sum - 1.0).abs() < 1e-9,
             "{}: dirty-word distribution sums to {sum}, expected 1",
             self.name
         );
+        // sim-lint: allow(no-panic-hot-path): profiles come from the built-in benchmark tables, which benches.rs tests pin valid; this is the documented check
         assert!(
             self.dirty_words_dist
                 .iter()

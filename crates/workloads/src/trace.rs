@@ -142,6 +142,7 @@ impl Trace {
     ///
     /// Panics if the trace is empty (an empty loop would hang the core).
     pub fn replay(&self) -> TraceReplay {
+        // sim-lint: allow(no-panic-hot-path): the simulation never replays a trace; the CLI rejects an empty trace before replaying it
         assert!(!self.is_empty(), "cannot replay an empty trace");
         TraceReplay {
             trace: self.clone(),
