@@ -11,9 +11,11 @@
 //!
 //! Flags: `--quick` (short runs, one timed iteration), `--iters N` (timed
 //! iterations per scenario, default 3), `--out PATH` (default
-//! `BENCH_perfsuite.json`). Every scenario also runs once under the
-//! `sim-prof` profiler to capture its top spans and to self-check that
-//! profiling leaves the simulation state digest untouched.
+//! `BENCH_perfsuite.json`), `--power-out PATH` (default `BENCH_power.json`,
+//! or `<stem>.power.json` next to an explicit `--out`, so a scratch run
+//! never rewrites the committed power baseline). Every scenario also runs
+//! once under the `sim-prof` profiler to capture its top spans and to
+//! self-check that profiling leaves the simulation state digest untouched.
 
 use bench::timing::measure;
 use pra_core::{Report, Scheme, SimBuilder};
@@ -234,8 +236,9 @@ fn render_json(quick: bool, iters: u32, results: &[ScenarioResult]) -> String {
 
 /// Renders the simulated-energy report: unlike the throughput numbers
 /// these are properties of the *simulated* system, bit-deterministic for a
-/// given scenario set, so the quick-mode file is committed to the repo and
-/// diffs only when the energy model (or a scenario) changes.
+/// given scenario set, so the full-length file is committed to the repo
+/// and diffs only when the energy model (or a scenario) changes. The quick
+/// length is too short for refresh or the fault plan to show.
 fn render_power_json(quick: bool, results: &[ScenarioResult]) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"schema_version\": {POWER_SCHEMA_VERSION},\n"));
@@ -293,11 +296,24 @@ fn render_power_json(quick: bool, results: &[ScenarioResult]) -> String {
     out
 }
 
+/// Where the power report goes when `--power-out` is not given: the
+/// committed `BENCH_power.json` for the default run, otherwise a sibling of
+/// `--out` (`x.json` → `x.power.json`).
+fn default_power_out(out_path: Option<&str>) -> String {
+    match out_path {
+        None => String::from("BENCH_power.json"),
+        Some(out) => std::path::Path::new(out)
+            .with_extension("power.json")
+            .to_string_lossy()
+            .into_owned(),
+    }
+}
+
 fn main() {
     let mut quick = false;
     let mut iters: u32 = 3;
-    let mut out_path = String::from("BENCH_perfsuite.json");
-    let mut power_out_path = String::from("BENCH_power.json");
+    let mut out_path: Option<String> = None;
+    let mut power_out_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -309,10 +325,10 @@ fn main() {
                     .expect("--iters needs a positive integer");
             }
             "--out" => {
-                out_path = args.next().expect("--out needs a path");
+                out_path = Some(args.next().expect("--out needs a path"));
             }
             "--power-out" => {
-                power_out_path = args.next().expect("--power-out needs a path");
+                power_out_path = Some(args.next().expect("--power-out needs a path"));
             }
             other => {
                 eprintln!(
@@ -323,6 +339,8 @@ fn main() {
         }
     }
     assert!(iters > 0, "--iters must be at least 1");
+    let power_out_path = power_out_path.unwrap_or_else(|| default_power_out(out_path.as_deref()));
+    let out_path = out_path.unwrap_or_else(|| String::from("BENCH_perfsuite.json"));
     let (instructions, warmup) = if quick {
         (5_000, Some(20_000))
     } else {
@@ -364,5 +382,24 @@ fn main() {
     if results.iter().any(|r| !r.digest_profiled_matches) {
         eprintln!("error: profiling perturbed at least one state digest");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::default_power_out;
+
+    #[test]
+    fn power_report_follows_an_explicit_out_path() {
+        assert_eq!(default_power_out(None), "BENCH_power.json");
+        assert_eq!(
+            default_power_out(Some("/tmp/perf_a.json")),
+            "/tmp/perf_a.power.json"
+        );
+        assert_eq!(default_power_out(Some("perf")), "perf.power.json");
+        assert_eq!(
+            default_power_out(Some("BENCH_perfsuite.json")),
+            "BENCH_perfsuite.power.json"
+        );
     }
 }

@@ -139,7 +139,8 @@ pub struct CoreStats {
 pub struct Core {
     /// Configuration.
     pub config: CoreConfig,
-    /// In-flight memory operations.
+    /// In-flight memory operations, in issue (hence retirement) order:
+    /// `issued_at_retired` never decreases along the vector.
     pub outstanding: Vec<Outstanding>,
     /// Writebacks awaiting space in the DRAM write queue:
     /// `(line, dirty mask)`.
@@ -154,6 +155,11 @@ pub struct Core {
     pub stats: CoreStats,
     /// CPU cycle at which the target was reached.
     pub finished_at: Option<u64>,
+    /// The core is asleep before this CPU cycle: its last tick was a
+    /// full-width ROB stall that every tick until then would repeat (see
+    /// [`Core::sleep`]). `0` means awake. Derived state, not serialised:
+    /// a restored core starts awake and its first tick re-derives it.
+    wake_at: u64,
 }
 
 impl Core {
@@ -168,7 +174,25 @@ impl Core {
             target,
             stats: CoreStats::default(),
             finished_at: None,
+            wake_at: 0,
         }
+    }
+
+    /// `true` while the core sleeps through a ROB stall at cycle `now`.
+    pub(crate) fn asleep(&self, now: u64) -> bool {
+        now < self.wake_at
+    }
+
+    /// Puts the core to sleep after a full-width ROB stall. Nothing the
+    /// core's own tick reads can change before the earliest `done_at` of a
+    /// timed completion or, with a writeback pending, before
+    /// `next_mem_tick` (write-queue space frees only on a memory tick). A
+    /// DRAM completion wakes the core early through
+    /// [`Core::complete_request`].
+    pub(crate) fn sleep(&mut self, next_mem_tick: u64) {
+        let timed = self.outstanding.iter().filter_map(|o| o.done_at).min();
+        let writeback = (!self.pending_writebacks.is_empty()).then_some(next_mem_tick);
+        self.wake_at = timed.into_iter().chain(writeback).min().unwrap_or(u64::MAX);
     }
 
     /// `true` once the instruction target has been retired.
@@ -184,20 +208,20 @@ impl Core {
         });
     }
 
-    /// Marks the operation with `req_id` complete.
+    /// Marks the operation with `req_id` complete and wakes the core.
     pub fn complete_request(&mut self, req_id: RequestId) {
         self.outstanding.retain(|o| o.req_id != Some(req_id));
+        self.wake_at = 0;
     }
 
     /// The ROB gate: `true` when the window behind the oldest outstanding
-    /// blocking load is exhausted.
+    /// blocking load is exhausted. `outstanding` is in issue order, so the
+    /// first blocking entry is the oldest.
     pub fn rob_blocked(&self) -> bool {
         self.outstanding
             .iter()
-            .filter(|o| o.blocking)
-            .map(|o| o.issued_at_retired)
-            .min()
-            .is_some_and(|oldest| self.stats.retired >= oldest + self.config.rob)
+            .find(|o| o.blocking)
+            .is_some_and(|o| self.stats.retired >= o.issued_at_retired + self.config.rob)
     }
 
     /// Outstanding blocking loads.
@@ -314,6 +338,7 @@ impl sim_snap::SnapState for Core {
         }
         self.stats.stores = r.u64()?;
         self.finished_at = r.opt_u64()?;
+        self.wake_at = 0;
         Ok(())
     }
 }

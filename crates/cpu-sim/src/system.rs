@@ -277,8 +277,7 @@ impl CpuSystem {
                 // same snapshot as the DRAM counters.
                 self.publish_cpu_metrics();
             }
-            let completed: Vec<RequestId> = self.mem.try_tick()?.to_vec();
-            for id in completed {
+            for &id in self.mem.try_tick()? {
                 if let Some(core) = self.req_owner.remove(&id) {
                     self.cores[core].complete_request(id);
                 }
@@ -390,6 +389,11 @@ impl CpuSystem {
 
     fn tick_core(&mut self, idx: usize) {
         let now = self.cpu_cycle;
+        if self.cores[idx].asleep(now) {
+            self.debug_check_asleep(idx, now);
+            self.cores[idx].stats.rob_stall_cycles += 1;
+            return;
+        }
         self.cores[idx].complete_ready(now);
 
         // Drain pending writebacks toward the DRAM write queue.
@@ -418,6 +422,8 @@ impl CpuSystem {
             if self.cores[idx].rob_blocked() {
                 if slots == u64::from(self.cores[idx].config.width) {
                     self.cores[idx].stats.rob_stall_cycles += 1;
+                    let per_mem = self.config.cpu_per_mem_clock;
+                    self.cores[idx].sleep((now / per_mem + 1) * per_mem);
                 }
                 break;
             }
@@ -452,6 +458,23 @@ impl CpuSystem {
         }
     }
 
+    /// Debug builds check each skipped tick against the wake rule: an
+    /// awake tick at `now` would find the core still ROB-blocked, no timed
+    /// completion due and its first pending writeback still refused.
+    fn debug_check_asleep(&self, idx: usize, now: u64) {
+        let core = &self.cores[idx];
+        debug_assert!(core.rob_blocked() && !core.finished());
+        debug_assert!(core.pending_writebacks.len() < core.config.stq);
+        debug_assert!(core
+            .outstanding
+            .iter()
+            .all(|o| o.done_at.is_none_or(|t| t > now)));
+        debug_assert!(core
+            .pending_writebacks
+            .first()
+            .is_none_or(|&(addr, mask)| !self.mem.can_accept(&MemRequest::write(0, addr, mask))));
+    }
+
     /// Issues a load; returns `false` (with the op deferred) on a full
     /// resource.
     fn issue_load(
@@ -467,9 +490,7 @@ impl CpuSystem {
             return false;
         }
         let access = self.hierarchy.access(idx, addr, None);
-        self.cores[idx]
-            .pending_writebacks
-            .extend(access.writebacks.clone());
+        self.cores[idx].pending_writebacks.extend(access.writebacks);
         self.issue_prefetch(idx, access.prefetch_read);
         let (l1_lat, l2_lat) = self.hierarchy.latencies();
         let _ = l1_lat; // L1 hits are fully hidden by the OoO window
@@ -555,9 +576,7 @@ impl CpuSystem {
             return false;
         }
         let access = self.hierarchy.access(idx, addr, Some(mask));
-        self.cores[idx]
-            .pending_writebacks
-            .extend(access.writebacks.clone());
+        self.cores[idx].pending_writebacks.extend(access.writebacks);
         self.issue_prefetch(idx, access.prefetch_read);
         if let Some(line) = access.fill_read {
             // Write-allocate: the line must be fetched, but the store buffer
@@ -761,19 +780,24 @@ mod tests {
         }
     }
 
+    fn paper_dram() -> DramConfig {
+        DramConfig::paper_baseline(PagePolicy::RelaxedClosePage, SchemeBehavior::baseline())
+    }
+
     fn build(sources: Vec<Box<dyn InstructionSource>>, insts: u64) -> CpuSystem {
         let cores = sources.len();
         let hierarchy = CacheHierarchy::new(HierarchyConfig::paper(cores));
-        let mem = MemorySystem::new(DramConfig::paper_baseline(
-            PagePolicy::RelaxedClosePage,
-            SchemeBehavior::baseline(),
-        ));
+        let mem = MemorySystem::new(paper_dram());
         CpuSystem::new(SystemConfig::paper(), hierarchy, mem, sources, insts)
     }
 
-    /// Same system with deliberately tiny caches so short tests exercise
-    /// LLC evictions.
-    fn build_tiny_caches(sources: Vec<Box<dyn InstructionSource>>, insts: u64) -> CpuSystem {
+    /// A system over `dram` with deliberately tiny caches so short tests
+    /// exercise LLC evictions.
+    fn build_tiny_caches(
+        sources: Vec<Box<dyn InstructionSource>>,
+        insts: u64,
+        dram: DramConfig,
+    ) -> CpuSystem {
         use cache_sim::CacheConfig;
         let cores = sources.len();
         let hierarchy = CacheHierarchy::new(HierarchyConfig {
@@ -791,11 +815,13 @@ mod tests {
             dbi: false,
             prefetch_next_line: false,
         });
-        let mem = MemorySystem::new(DramConfig::paper_baseline(
-            PagePolicy::RelaxedClosePage,
-            SchemeBehavior::baseline(),
-        ));
-        CpuSystem::new(SystemConfig::paper(), hierarchy, mem, sources, insts)
+        CpuSystem::new(
+            SystemConfig::paper(),
+            hierarchy,
+            MemorySystem::new(dram),
+            sources,
+            insts,
+        )
     }
 
     #[test]
@@ -865,7 +891,7 @@ mod tests {
             next: 0,
             wrap: 64 * 1024 * 1024,
         };
-        let mut sys = build_tiny_caches(vec![Box::new(src)], 40_000);
+        let mut sys = build_tiny_caches(vec![Box::new(src)], 40_000, paper_dram());
         let out = sys.run(100_000_000);
         assert!(!out.timed_out);
         assert!(
@@ -915,7 +941,7 @@ mod tests {
             next: 0,
             wrap: 64 * 1024 * 1024,
         };
-        let mut sys = build_tiny_caches(vec![Box::new(src)], 60_000);
+        let mut sys = build_tiny_caches(vec![Box::new(src)], 60_000, paper_dram());
         let out = sys.run(100_000_000);
         assert!(!out.timed_out);
         let stats = sys.cores()[0].stats;
@@ -929,6 +955,39 @@ mod tests {
             sys.mem().stats().writes_completed,
             sys.hierarchy().stats().writebacks - sys.cores()[0].pending_writebacks.len() as u64,
         );
+    }
+
+    #[test]
+    fn a_core_sleeps_through_a_refused_writeback() {
+        // Stores over tiny caches keep a two-entry write queue full while
+        // loads that miss block the ROB, so the core falls asleep holding a
+        // writeback the queue refuses. It must wake on the next memory
+        // tick; debug builds check every skipped tick against that rule.
+        struct StoreLoadCompute(u64);
+        impl InstructionSource for StoreLoadCompute {
+            fn next_op(&mut self) -> Op {
+                self.0 += 1;
+                let a = PhysAddr::new((self.0 * 4096) % (64 << 20));
+                match self.0 % 4 {
+                    0 => Op::Store(a, WordMask::single(0)),
+                    2 => Op::Load(a),
+                    _ => Op::Compute(10),
+                }
+            }
+        }
+        let mut dram = paper_dram();
+        dram.queues.write_capacity = 2;
+        dram.queues.write_high_watermark = 2;
+        dram.queues.write_low_watermark = 1;
+        let mut sys = build_tiny_caches(vec![Box::new(StoreLoadCompute(0))], 20_000, dram);
+        let mut slept_holding_writeback = false;
+        while !sys.cores()[0].finished() {
+            sys.tick_cpu_cycle();
+            let core = &sys.cores()[0];
+            slept_holding_writeback |=
+                core.asleep(sys.cpu_cycle()) && !core.pending_writebacks.is_empty();
+        }
+        assert!(slept_holding_writeback);
     }
 
     #[test]
@@ -1028,6 +1087,13 @@ mod tests {
         for _ in 0..40_000 {
             live.tick_cpu_cycle();
         }
+        // Snapshot while a core sleeps through a ROB stall: the live copy
+        // keeps sleeping, the restored copy starts awake and must re-derive
+        // the same stall.
+        let asleep = |sys: &CpuSystem| (0..2).any(|c| sys.cores()[c].asleep(sys.cpu_cycle()));
+        while !asleep(&live) {
+            live.tick_cpu_cycle();
+        }
         let mut w = sim_snap::SnapWriter::new();
         live.snap_save(&mut w);
         let bytes = w.into_bytes();
@@ -1039,6 +1105,7 @@ mod tests {
         fresh.snap_load(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(fresh.cpu_cycle(), live.cpu_cycle());
+        assert!(!asleep(&fresh), "sleep state is derived, not restored");
 
         for _ in 0..40_000 {
             live.tick_cpu_cycle();
