@@ -13,7 +13,6 @@
 #![warn(missing_docs)]
 
 pub mod chart;
-pub mod timing;
 
 pub use pra_core::experiments::ExperimentConfig;
 

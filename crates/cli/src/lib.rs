@@ -411,6 +411,7 @@ pub fn cmd_trace(opts: &Options) -> Result<String, CliError> {
                     .map_err(|e| err(format!("cannot create {metrics_path}: {e}")))?;
                 builder = builder.metrics_out(metrics_path);
             }
+            let effective_epoch = builder.effective_metrics_epoch();
             let report = builder.try_run()?;
             let mut out = render_report(&report);
             if let Some(ring) = &ring {
@@ -445,7 +446,6 @@ pub fn cmd_trace(opts: &Options) -> Result<String, CliError> {
                 let _ = writeln!(out, "\n{events} trace events written to {trace_path}");
             }
             if !report.metrics.is_empty() {
-                let effective_epoch = if epoch > 0 { epoch } else { 100_000 };
                 let _ = writeln!(
                     out,
                     "{} epoch snapshots (epoch {effective_epoch} memory cycles){}",

@@ -74,7 +74,6 @@ pub struct SimBuilder {
     policy: PagePolicy,
     instructions: u64,
     seed: u64,
-    max_cpu_cycles: u64,
     warmup_mem_ops: Option<u64>,
     scheme_override: Option<dram_sim::SchemeBehavior>,
     prefetch_next_line: bool,
@@ -88,7 +87,6 @@ pub struct SimBuilder {
     faults: Option<FaultPlan>,
     recovery: Option<dram_sim::RecoveryConfig>,
     liveness: dram_sim::LivenessConfig,
-    escalation_age: Option<u64>,
     checkpoint_every: u64,
     checkpoint_dir: Option<PathBuf>,
     restore_from: Option<PathBuf>,
@@ -126,7 +124,6 @@ impl SimBuilder {
             policy: PagePolicy::RelaxedClosePage,
             instructions: 100_000,
             seed: 1,
-            max_cpu_cycles: 0, // derived from instructions unless set
             warmup_mem_ops: None,
             scheme_override: None,
             prefetch_next_line: false,
@@ -140,7 +137,6 @@ impl SimBuilder {
             faults: None,
             recovery: None,
             liveness: dram_sim::LivenessConfig::disabled(),
-            escalation_age: None,
             checkpoint_every: 0,
             checkpoint_dir: None,
             restore_from: None,
@@ -245,13 +241,6 @@ impl SimBuilder {
         self
     }
 
-    /// Hard cap on CPU cycles (default: 2000 cycles per instruction,
-    /// generous enough for the most memory-bound workloads).
-    pub fn max_cpu_cycles(mut self, n: u64) -> Self {
-        self.max_cpu_cycles = n;
-        self
-    }
-
     /// Streams every trace event — DRAM commands, cache fills/writebacks
     /// and core-stall episodes, interleaved in one file — as JSON Lines to
     /// `path` (see DESIGN.md "Observability" for the event schema). Off by
@@ -347,15 +336,6 @@ impl SimBuilder {
         self
     }
 
-    /// Overrides the FR-FCFS starvation-escalation age (memory cycles a
-    /// request may wait before the scheduler stops taking row hits over it;
-    /// 0 disables escalation). Defaults to
-    /// [`dram_sim::DEFAULT_ESCALATION_AGE`].
-    pub fn starvation_escalation_age(mut self, cycles: u64) -> Self {
-        self.escalation_age = Some(cycles);
-        self
-    }
-
     /// Writes a full-state checkpoint every `mem_cycles` memory cycles
     /// (0 disables, the default). Requires
     /// [`checkpoint_dir`](Self::checkpoint_dir); snapshots are written
@@ -387,9 +367,9 @@ impl SimBuilder {
         self
     }
 
-    /// The metrics epoch actually used by the run ([`metrics_out`]
-    /// (Self::metrics_out) implies a 100 000-cycle default).
-    fn effective_metrics_epoch(&self) -> u64 {
+    /// The metrics epoch the run uses, in memory cycles (0 = none):
+    /// [`metrics_out`](Self::metrics_out) implies a 100 000-cycle default.
+    pub fn effective_metrics_epoch(&self) -> u64 {
         if self.metrics_epoch == 0 && self.metrics_out.is_some() {
             100_000
         } else {
@@ -406,7 +386,7 @@ impl SimBuilder {
     pub fn config_digest(&self) -> u64 {
         let mut w = sim_snap::SnapWriter::new();
         w.section("pra-sim-config");
-        w.u32(1); // digest layout version
+        w.u32(2); // digest layout version
         w.seq(self.apps.len());
         for app in &self.apps {
             match app {
@@ -442,7 +422,6 @@ impl SimBuilder {
         w.str(&format!("{:?}", self.policy));
         w.u64(self.instructions);
         w.u64(self.seed);
-        w.u64(self.max_cpu_cycles);
         w.opt_u64(self.warmup_mem_ops);
         w.bool(self.scheme_override.is_some());
         if let Some(b) = &self.scheme_override {
@@ -462,7 +441,6 @@ impl SimBuilder {
             w.str(&format!("{r:?}"));
         }
         w.str(&format!("{:?}", self.liveness));
-        w.opt_u64(self.escalation_age);
         sim_snap::fnv1a_64(&w.into_bytes())
     }
 
@@ -564,9 +542,6 @@ impl SimBuilder {
         dram_config.power.ecc_x72 = self.ecc_x72;
         dram_config.recovery = self.recovery;
         dram_config.liveness = self.liveness;
-        if let Some(age) = self.escalation_age {
-            dram_config.starvation_escalation_age = age;
-        }
         let mut hierarchy = CacheHierarchy::with_dram_view(
             hierarchy_config,
             dram_config.geometry,
@@ -655,11 +630,7 @@ impl SimBuilder {
                 .set_trace_sink(Box::new(std::rc::Rc::clone(ring)));
             system.set_trace_sink(Box::new(std::rc::Rc::clone(ring)));
         }
-        let epoch = if self.metrics_epoch == 0 && self.metrics_out.is_some() {
-            100_000
-        } else {
-            self.metrics_epoch
-        };
+        let epoch = self.effective_metrics_epoch();
         if epoch > 0 {
             let out = match self.metrics_out.as_ref() {
                 Some(path) => {
@@ -692,11 +663,9 @@ impl SimBuilder {
                 .observer_mut()
                 .emit(|| sim_obs::TraceEvent::Restore { cycle });
         }
-        let cap = if self.max_cpu_cycles > 0 {
-            self.max_cpu_cycles
-        } else {
-            self.instructions.saturating_mul(2000).max(10_000_000)
-        };
+        // Hard cap on CPU cycles: 2000 per instruction, generous enough for
+        // the most memory-bound workloads.
+        let cap = self.instructions.saturating_mul(2000).max(10_000_000);
         let outcome = {
             let _prof = sim_prof::span!("sim.run");
             match &self.checkpoint_dir {

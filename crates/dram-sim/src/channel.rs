@@ -12,7 +12,6 @@ use crate::config::{DramConfig, PagePolicy};
 use crate::liveness::RequestTrail;
 use crate::obs::DramObs;
 use crate::rank::{Rank, RefreshState};
-use crate::scheme::FULL_ROW_MATS;
 use crate::stats::DramStats;
 
 /// A queued request together with its decoded coordinates.
@@ -1210,13 +1209,6 @@ impl Channel {
                 });
             }
         }
-    }
-
-    /// Largest possible activation the current scheme can request, used by
-    /// assertions in tests.
-    #[allow(dead_code)]
-    pub(crate) fn max_mats() -> u32 {
-        FULL_ROW_MATS
     }
 }
 

@@ -218,26 +218,8 @@ impl FaultPlan {
     /// [`FaultPlan::validate`] without a line number.
     pub fn from_toml_str(text: &str) -> Result<Self, PlanError> {
         let mut plan = FaultPlan::disabled();
-        for (index, raw) in text.lines().enumerate() {
-            let lineno = index + 1;
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            if line.starts_with('[') {
-                if line == "[faults]" {
-                    continue;
-                }
-                return Err(plan_err(format!(
-                    "line {lineno}: unknown section {line:?} (only [faults] is allowed)"
-                )));
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(plan_err(format!(
-                    "line {lineno}: expected `key = value`, got {line:?}"
-                )));
-            };
-            let (key, value) = (key.trim(), value.trim());
+        for entry in sim_obs::toml::entries(text, "faults") {
+            let (lineno, key, value) = entry.map_err(plan_err)?;
             let as_u64 = |v: &str| {
                 v.parse::<u64>().map_err(|_| {
                     plan_err(format!("line {lineno}: {key} wants an integer, got {v:?}"))

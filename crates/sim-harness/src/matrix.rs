@@ -145,26 +145,8 @@ impl Campaign {
             include_hang_fixture: false,
         };
 
-        for (index, raw) in text.lines().enumerate() {
-            let lineno = index + 1;
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            if line.starts_with('[') {
-                if line == "[campaign]" {
-                    continue;
-                }
-                return Err(matrix_err(format!(
-                    "line {lineno}: unknown section {line:?} (only [campaign] is allowed)"
-                )));
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(matrix_err(format!(
-                    "line {lineno}: expected `key = value`, got {line:?}"
-                )));
-            };
-            let (key, value) = (key.trim(), value.trim());
+        for entry in sim_obs::toml::entries(text, "campaign") {
+            let (lineno, key, value) = entry.map_err(matrix_err)?;
             let at_line = |e: &dyn fmt::Display| matrix_err(format!("line {lineno}: {e}"));
             let as_u64 = |v: &str| {
                 v.parse::<u64>().map_err(|_| {

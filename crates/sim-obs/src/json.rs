@@ -1,8 +1,8 @@
 //! The workspace's one JSON string codec and flat-object field reader.
 //!
 //! Every JSON emitter in the workspace (trace events, the campaign journal,
-//! sim-lint reports, perfsuite) escapes strings with [`escape`]; every
-//! reader of the flat one-object-per-line formats they produce uses
+//! sim-lint reports, the power baseline) escapes strings with [`escape`];
+//! every reader of the flat one-object-per-line formats they produce uses
 //! [`str`], [`u64`] and [`bool`]. The readers are deliberately tolerant:
 //! malformed, truncated or adversarial input yields `None`, never a panic,
 //! and a key smuggled inside an escaped string value is never mistaken for

@@ -44,6 +44,7 @@ mod hist;
 pub mod json;
 mod registry;
 mod sink;
+pub mod toml;
 
 pub use event::{StallKind, TraceEvent, FULL_ROW_MATS};
 pub use hist::Log2Histogram;
